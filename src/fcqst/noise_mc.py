@@ -19,13 +19,14 @@ reports whichever one the caller tags.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import rng
 from .exceptions import BasisError, InvalidSizeError
-from .propagator import minimum_transfer_time
+from .propagator import evolve_source, minimum_transfer_time
 from .spin_model import (
     SINGLE_EXCITATION,
     SectorMatrix,
@@ -62,8 +63,12 @@ class NoiseConfig:
     def __post_init__(self):
         if self.trials < 1:
             raise InvalidSizeError(f"trials must be >= 1, got {self.trials}")
-        if self.sigma_c < 0 or self.sigma_f < 0:
-            raise InvalidSizeError("noise standard deviations must be nonnegative")
+        for name in ("sigma_c", "sigma_f"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise InvalidSizeError(f"{name} must be finite and nonnegative, got {value}")
+        if not (math.isfinite(self.j0) and self.j0 > 0):
+            raise InvalidSizeError(f"j0 must be finite and positive, got {self.j0}")
         if self.hamiltonian not in HAMILTONIANS:
             raise InvalidSizeError(f"hamiltonian must be one of {sorted(HAMILTONIANS)}")
 
@@ -93,14 +98,10 @@ class NoiseTrialStats:
             raise InvalidSizeError("standard error must be nonnegative")
 
 
-def _pair_noise_matrix(n: int, sigma_c: float, key: int) -> np.ndarray:
-    """Symmetric matrix with one N(0, sigma_c) draw per unordered pair."""
-    out = np.zeros((n, n))
-    if sigma_c > 0:
-        iu = np.triu_indices(n, 1)
-        out[iu] = sigma_c * rng.normals(key, 0, len(iu[0]))
-        out += out.T
-    return out
+def _upper_flat_index(n: int) -> np.ndarray:
+    """Flat indices of the strict upper triangle of an n x n matrix, row major."""
+    rows, cols = np.triu_indices(n, 1)
+    return rows * n + cols
 
 
 def _field_noise_diag(n: int, sigma_f: float, key: int):
@@ -114,6 +115,26 @@ def _field_noise_diag(n: int, sigma_f: float, key: int):
     return diag, float(e1), float(en)
 
 
+def _noisy_matrix(cfg: NoiseConfig, base: np.ndarray, trial: int, upper: np.ndarray):
+    """Real noisy matrix of one trial and its field shifts (eps1, epsN).
+
+    ``base`` is the real single-excitation matrix of ``cfg.base_model()``
+    and ``upper`` is ``_upper_flat_index(cfg.n)``: one N(0, sigma_c) draw
+    per unordered pair fills the upper triangle of a zero matrix, which is
+    added to ``base`` with its transpose.
+    """
+    n = cfg.n
+    pairs = np.zeros(n * n)
+    if cfg.sigma_c > 0:
+        key = rng.derive_key(cfg.seed, trial, 0)
+        pairs[upper] = cfg.sigma_c * rng.normals(key, 0, upper.size)
+    pairs = pairs.reshape(n, n)
+    h = base + pairs + pairs.T
+    diag, e1, en = _field_noise_diag(n, cfg.sigma_f, rng.derive_key(cfg.seed, trial, 1))
+    h[np.diag_indices(n)] += diag
+    return h, e1, en
+
+
 def sample_noisy_hamiltonian(cfg: NoiseConfig, trial: int = 0) -> SectorMatrix:
     """Single-excitation matrix of one noisy realization.
 
@@ -122,10 +143,7 @@ def sample_noisy_hamiltonian(cfg: NoiseConfig, trial: int = 0) -> SectorMatrix:
     reshuffles earlier trials.
     """
     base = project_single_excitation(cfg.base_model())
-    h = np.array(base.entries)
-    h += _pair_noise_matrix(cfg.n, cfg.sigma_c, rng.derive_key(cfg.seed, trial, 0))
-    diag, e1, en = _field_noise_diag(cfg.n, cfg.sigma_f, rng.derive_key(cfg.seed, trial, 1))
-    h += np.diag(diag)
+    h, e1, en = _noisy_matrix(cfg, base.entries.real, trial, _upper_flat_index(cfg.n))
     return SectorMatrix(basis_tag=SINGLE_EXCITATION, entries=h,
                         vacuum_phase_rate=base.vacuum_phase_rate + e1 + en)
 
@@ -136,39 +154,24 @@ def trial_fidelity(noisy: SectorMatrix, base: SectorMatrix, t: float) -> complex
         raise BasisError(f"dimension mismatch: {noisy.dim} vs {base.dim}")
     if np.array_equal(noisy.entries, base.entries):
         return 1.0 + 0.0j  # exact by unitarity, bypassing roundoff
-    ideal = _evolved_source(base.entries, t)
-    evolved = _evolved_source(noisy.entries, t)
+    ideal, _ = evolve_source(base.entries, t)
+    evolved, _ = evolve_source(noisy.entries, t)
     return complex(np.vdot(ideal, evolved))
-
-
-def _evolved_source(mat: np.ndarray, t: float) -> np.ndarray:
-    """exp(-i mat t) applied to |phi_1> (real-symmetric fast path)."""
-    if np.abs(mat.imag).max() == 0.0:
-        w, v = np.linalg.eigh(mat.real)
-    else:
-        w, v = np.linalg.eigh(mat)
-    return (v * np.exp(-1j * w * t)) @ np.ascontiguousarray(v[0].conj())
 
 
 def trial_overlaps(cfg: NoiseConfig) -> np.ndarray:
     """Complex overlap F for every trial of the ensemble."""
     if cfg.sigma_c == 0.0 and cfg.sigma_f == 0.0:
         return np.ones(cfg.trials, dtype=complex)  # noiseless protocol is exact
-    base = project_single_excitation(cfg.base_model())
+    # builders are real symmetric
+    base = np.ascontiguousarray(project_single_excitation(cfg.base_model()).entries.real)
     t = cfg.transfer_time()
-    ideal = _evolved_source(base.entries, t)
-    base_arr = np.array(base.entries.real)  # builders are real symmetric
-    iu = np.triu_indices(cfg.n, 1)
+    ideal, _ = evolve_source(base, t)
+    upper = _upper_flat_index(cfg.n)
     out = np.empty(cfg.trials, dtype=complex)
     for trial in range(cfg.trials):
-        h = base_arr.copy()
-        if cfg.sigma_c > 0:
-            eps = cfg.sigma_c * rng.normals(rng.derive_key(cfg.seed, trial, 0), 0, len(iu[0]))
-            h[iu] += eps
-            h[(iu[1], iu[0])] += eps
-        diag, _, _ = _field_noise_diag(cfg.n, cfg.sigma_f, rng.derive_key(cfg.seed, trial, 1))
-        h[np.diag_indices(cfg.n)] += diag
-        out[trial] = np.vdot(ideal, _evolved_source(h, t))
+        h, _, _ = _noisy_matrix(cfg, base, trial, upper)
+        out[trial] = np.vdot(ideal, evolve_source(h, t)[0])
     return out
 
 

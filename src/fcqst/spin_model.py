@@ -24,6 +24,7 @@ Conventions
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -187,6 +188,23 @@ def _require_transfer_size(n: int, j0: float) -> None:
         raise InvalidSizeError(f"j0 must be positive, got {j0}")
 
 
+def _pair_sites(pairs: Mapping[Pair, object]) -> np.ndarray:
+    """0-based sites i0, j0, i1, j1, ... of the pair keys, in dictionary order."""
+    sites = np.fromiter(itertools.chain.from_iterable(pairs), dtype=np.intp,
+                        count=2 * len(pairs))
+    sites -= 1
+    return sites
+
+
+def _scatter_couplings(h: np.ndarray, couplings: Mapping[Pair, complex]) -> None:
+    """h[i-1, j-1] = J_ij and h[j-1, i-1] = conj(J_ij) for every pair."""
+    sites = _pair_sites(couplings)
+    rows, cols = sites[0::2], sites[1::2]
+    vals = np.fromiter(couplings.values(), dtype=complex, count=len(couplings))
+    h[rows, cols] = vals
+    h[cols, rows] = vals.conj()
+
+
 def project_single_excitation(model: SpinModel) -> SectorMatrix:
     """N x N matrix of the Hamiltonian over states |i> = "only qubit i is |1>".
 
@@ -198,14 +216,15 @@ def project_single_excitation(model: SpinModel) -> SectorMatrix:
     """
     n = model.n
     h = np.zeros((n, n), dtype=complex)
-    for (i, j), v in model.couplings.items():
-        h[i - 1, j - 1] = v
-        h[j - 1, i - 1] = np.conj(v)
+    _scatter_couplings(h, model.couplings)
     vac = float(sum(model.fields)) + float(sum(model.zz.values()))
+    # per-site ZZ sums accumulate in pair order (bincount adds sequentially)
+    zz_sites = _pair_sites(model.zz)
+    zz_vals = np.repeat(np.fromiter(model.zz.values(), dtype=float, count=len(model.zz)), 2)
+    zz_sum = np.bincount(zz_sites, weights=zz_vals, minlength=n)
     diag = np.full(n, vac)
-    for i in range(1, n + 1):
-        diag[i - 1] -= 2.0 * model.fields[i - 1]
-        diag[i - 1] -= 2.0 * sum(u for (a, b), u in model.zz.items() if i in (a, b))
+    diag -= 2.0 * np.array(model.fields)
+    diag -= 2.0 * zz_sum
     h += np.diag(diag)
     return SectorMatrix(basis_tag=SINGLE_EXCITATION, entries=h, vacuum_phase_rate=vac)
 

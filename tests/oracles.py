@@ -58,3 +58,28 @@ def excitation_number(n):
 def eig_propagator(h, t):
     w, v = np.linalg.eigh(h)
     return (v * np.exp(-1j * w * t)) @ v.conj().T
+
+
+def single_excitation_loop(model):
+    """Single-excitation matrix and vacuum energy, one pair at a time.
+
+    The pair-by-pair construction the vectorized projection replaced.  Its
+    per-site ZZ sums add the pairs one by one in dictionary order, as the
+    builtin ``sum`` did before Python 3.12 made float sums compensated.
+    """
+    n = model.n
+    h = np.zeros((n, n), dtype=complex)
+    for (i, j), v in model.couplings.items():
+        h[i - 1, j - 1] = v
+        h[j - 1, i - 1] = np.conj(v)
+    vac = float(sum(model.fields)) + float(sum(model.zz.values()))
+    diag = np.full(n, vac)
+    for i in range(1, n + 1):
+        diag[i - 1] -= 2.0 * model.fields[i - 1]
+        zz_sum = 0.0
+        for (a, b), u in model.zz.items():
+            if i in (a, b):
+                zz_sum += u
+        diag[i - 1] -= 2.0 * zz_sum
+    h += np.diag(diag)
+    return h, vac

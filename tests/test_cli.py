@@ -114,6 +114,15 @@ def test_noise_zero_sigma_zero_mean(tmp_path, capsys):
                              "mean_infidelity", "std_error"]
 
 
+@pytest.mark.parametrize("flag,value", [
+    ("--sigma-c", "inf"), ("--sigma-c", "nan"), ("--sigma-f", "-0.1"), ("--j0", "inf"),
+])
+def test_noise_rejects_bad_amplitudes_with_usage_code(capsys, flag, value):
+    code, _, err = run_cli(capsys, "noise", "--n", "8", "--trials", "2", flag, value)
+    assert code == 2
+    assert "must be finite" in err
+
+
 def test_noise_runs_are_bit_reproducible(tmp_path, capsys):
     args = ["noise", "--n", "10", "--sigma-c", "0.1", "--trials", "12",
             "--seed", "42"]

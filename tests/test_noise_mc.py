@@ -201,6 +201,32 @@ def test_noise_config_validation():
         NoiseConfig(n=10, sigma_c=-0.1)
     with pytest.raises(InvalidSizeError):
         NoiseConfig(n=10, hamiltonian="other")
+    # NaN sigma used to skip the noise silently (nan > 0 is False) and inf
+    # escaped as a LinAlgError from eigh
+    for field, bad in (("sigma_c", (np.nan, np.inf, -0.1)), ("sigma_f", (np.nan, np.inf, -0.1)),
+                       ("j0", (np.nan, np.inf, 0.0, -1.0))):
+        for value in bad:
+            with pytest.raises(InvalidSizeError):
+                NoiseConfig(n=10, **{field: value})
+
+
+def test_trial_overlaps_match_per_trial_dense_path():
+    # one criterion-9 configuration: every Krylov overlap against the
+    # per-trial dense eigh columns
+    cfg = NoiseConfig(n=400, sigma_c=0.1, sigma_f=0.0, trials=50, seed=42)
+    overlaps = noise_mc.trial_overlaps(cfg)
+    base = np.ascontiguousarray(project_single_excitation(cfg.base_model()).entries.real)
+    upper = noise_mc._upper_flat_index(cfg.n)
+    t = cfg.transfer_time()
+
+    def dense_column(h):
+        w, v = np.linalg.eigh(h)
+        return (v * np.exp(-1j * w * t)) @ v[0]
+
+    ideal = dense_column(base)
+    for k in range(cfg.trials):
+        noisy, _, _ = noise_mc._noisy_matrix(cfg, base, k, upper)
+        assert abs(np.vdot(ideal, dense_column(noisy)) - overlaps[k]) < 1e-13
 
 
 def test_fit_power_law_exact():

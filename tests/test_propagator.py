@@ -12,8 +12,10 @@ from fcqst import (
     project_single_excitation,
     transfer_fidelity,
 )
+from fcqst import noise_mc
 from fcqst.effective3 import reduce_to_effective, transfer_form_unitary
 from fcqst.exceptions import BasisError, GridMismatchError, HermiticityError, SizeLimitError
+from fcqst.propagator import DENSE_MAX_N, KRYLOV_MAX_DIM, _lanczos_source, evolve_source
 from fcqst.spin_model import EFFECTIVE3, FULL_SPACE, SINGLE_EXCITATION, SectorMatrix
 
 from oracles import eig_propagator
@@ -126,6 +128,52 @@ def test_time_scaling_equivalence():
 def test_matches_independent_eigendecomposition():
     h = _random_hermitian(12, 11)
     assert np.abs(evolve_constant(h, 1.234) - eig_propagator(h, 1.234)).max() < 1e-12
+
+
+def _noisy_real(n, sigma, seed=3):
+    cfg = noise_mc.NoiseConfig(n=n, sigma_c=sigma, sigma_f=sigma, trials=1, seed=seed)
+    h = noise_mc.sample_noisy_hamiltonian(cfg, trial=0).entries.real
+    return np.ascontiguousarray(h), cfg.transfer_time()
+
+
+@pytest.mark.parametrize("sigma", [0.0, 0.1, 2.0])
+@pytest.mark.parametrize("n", [41, 100, 500])
+def test_lanczos_matches_dense_column(n, sigma):
+    h, t = _noisy_real(n, sigma)
+    psi, dim = _lanczos_source(h, t)
+    assert 0 < dim <= KRYLOV_MAX_DIM
+    if sigma == 0.0:
+        assert dim <= 4  # the base spans 3 dimensions: happy breakdown
+    assert np.abs(psi - eig_propagator(h, t)[:, 0]).max() < 1e-13
+    if n > DENSE_MAX_N:
+        assert np.array_equal(evolve_source(h, t)[0], psi)  # the path trials take
+
+
+def test_evolve_source_falls_back_to_dense_when_estimate_fails():
+    h, t = _noisy_real(100, 0.1)
+    long_t = 50.0 * t  # needs a Krylov basis far beyond the cap
+    psi, dim = evolve_source(h, long_t)
+    assert dim == 0
+    assert np.abs(psi - eig_propagator(h, long_t)[:, 0]).max() < 1e-13
+
+
+def test_evolve_source_dense_inputs():
+    # up to DENSE_MAX_N, and for complex entries, the dense column is used
+    h, t = _noisy_real(DENSE_MAX_N, 0.1)
+    psi, dim = evolve_source(h, t)
+    assert dim == 0
+    assert np.abs(psi - eig_propagator(h, t)[:, 0]).max() < 1e-13
+
+    hc = _random_hermitian(DENSE_MAX_N + 10, 4)
+    psi, dim = evolve_source(hc, 0.3)
+    assert dim == 0
+    assert np.abs(psi - eig_propagator(hc, 0.3)[:, 0]).max() < 1e-13
+
+    # complex storage with zero imaginary part takes the real Lanczos path
+    h, t = _noisy_real(DENSE_MAX_N + 10, 0.1)
+    psi, dim = evolve_source(h.astype(complex), t)
+    assert dim > 0
+    assert np.abs(psi - eig_propagator(h, t)[:, 0]).max() < 1e-13
 
 
 def test_minimum_transfer_time_values():

@@ -13,7 +13,12 @@ from fcqst import (
 from fcqst.exceptions import HermiticityError, InvalidSizeError, SizeLimitError
 from fcqst.spin_model import FULL_SPACE, SINGLE_EXCITATION
 
-from oracles import excitation_number, full_hamiltonian, single_excitation_basis
+from oracles import (
+    excitation_number,
+    full_hamiltonian,
+    single_excitation_basis,
+    single_excitation_loop,
+)
 
 
 def test_build_h_opt_n4():
@@ -115,6 +120,29 @@ def test_project_single_excitation_against_pauli_oracle():
     sector = project_single_excitation(model)
     assert np.abs(sector.entries - block).max() < 1e-13
     assert abs(sector.vacuum_phase_rate - hf[0, 0].real) < 1e-13
+
+
+def test_project_single_excitation_matches_loop_oracle():
+    # the vectorized scatter and per-site ZZ sums must reproduce the
+    # pair-by-pair loop bit for bit, swapped keys and overlapping ZZ included
+    gen = np.random.default_rng(5)
+    n = 30
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    order = gen.permutation(len(pairs))
+
+    def key(k):
+        return pairs[k] if gen.random() < 0.5 else pairs[k][::-1]
+
+    model = SpinModel(
+        n=n,
+        couplings={key(k): complex(*gen.normal(size=2)) for k in order[:300]},
+        zz={key(k): float(gen.normal()) for k in order[100:]},
+        fields=tuple(gen.normal(size=n)),
+    )
+    sector = project_single_excitation(model)
+    entries, vac = single_excitation_loop(model)
+    assert np.array_equal(sector.entries, entries)
+    assert sector.vacuum_phase_rate == vac
 
 
 def test_optimal_single_excitation_block_is_displayed_matrix():
