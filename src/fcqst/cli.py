@@ -21,7 +21,7 @@ from . import __version__, brachistochrone, noise_mc, svgchart
 from .effective3 import boundary_form_check, reduce_to_effective
 from .exceptions import FcqstError, UnsupportedCaseError
 from .propagator import evolve_constant, minimum_transfer_time, transfer_fidelity
-from .spin_model import SINGLE_EXCITATION, build_h_opt, build_h_opt_prime, project_single_excitation
+from .spin_model import SINGLE_EXCITATION, hamiltonian_builder, project_single_excitation
 from .speed_search import min_time_bisection
 
 EXIT_PASS = 0
@@ -29,6 +29,7 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_UNSUPPORTED = 3
 
+HAMILTONIAN_CHOICES = ["opt", "opt-prime", "opt_prime"]  # both spellings name one entry
 VERIFY_THRESHOLD = 1.0 - 1e-9
 QB_RESIDUAL_THRESHOLD = 1e-8
 
@@ -78,8 +79,7 @@ def cmd_verify(args, argv) -> int:
     if args.n < 3:
         print("verify: --n must be at least 3", file=sys.stderr)
         return EXIT_USAGE
-    builder = build_h_opt if args.hamiltonian == "opt" else build_h_opt_prime
-    model = builder(args.n, args.j0)
+    model = hamiltonian_builder(args.hamiltonian)(args.n, args.j0)
     t = minimum_transfer_time(args.n, args.j0)
     u_sector = evolve_constant(project_single_excitation(model), t)
     fidelity = transfer_fidelity(u_sector, SINGLE_EXCITATION)
@@ -266,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="check perfect transfer at the optimal time")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--j0", type=float, default=1.0)
-    p.add_argument("--hamiltonian", choices=["opt", "opt-prime"], default="opt")
+    p.add_argument("--hamiltonian", choices=HAMILTONIAN_CHOICES, default="opt")
     p.add_argument("--format", choices=["json", "csv"], default="json")
 
     p = sub.add_parser("case-table", help="minimum-time catalog as CSV")
@@ -302,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sigma-f", type=_float_list, default=[0.0], dest="sigma_f")
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--hamiltonian", choices=["opt", "opt_prime"], default="opt")
+    p.add_argument("--hamiltonian", choices=HAMILTONIAN_CHOICES, default="opt")
     p.add_argument("--metric", choices=sorted(noise_mc.INFIDELITY_DEFINITIONS),
                    default=noise_mc.DEFAULT_DEFINITION)
     p.add_argument("--out", default=None)

@@ -26,17 +26,14 @@ import numpy as np
 
 from . import rng
 from .exceptions import BasisError, InvalidSizeError
-from .propagator import evolve_source, minimum_transfer_time
+from .propagator import evolve_source, minimum_transfer_time, require_positive_j0
 from .spin_model import (
     SINGLE_EXCITATION,
     SectorMatrix,
     SpinModel,
-    build_h_opt,
-    build_h_opt_prime,
+    hamiltonian_builder,
     project_single_excitation,
 )
-
-HAMILTONIANS = {"opt": build_h_opt, "opt_prime": build_h_opt_prime}
 
 # per-trial scalar infidelities derived from the complex overlap F
 INFIDELITY_DEFINITIONS = {
@@ -67,13 +64,11 @@ class NoiseConfig:
             value = getattr(self, name)
             if not (math.isfinite(value) and value >= 0):
                 raise InvalidSizeError(f"{name} must be finite and nonnegative, got {value}")
-        if not (math.isfinite(self.j0) and self.j0 > 0):
-            raise InvalidSizeError(f"j0 must be finite and positive, got {self.j0}")
-        if self.hamiltonian not in HAMILTONIANS:
-            raise InvalidSizeError(f"hamiltonian must be one of {sorted(HAMILTONIANS)}")
+        require_positive_j0(self.j0)
+        hamiltonian_builder(self.hamiltonian)
 
     def base_model(self) -> SpinModel:
-        return HAMILTONIANS[self.hamiltonian](self.n, self.j0)
+        return hamiltonian_builder(self.hamiltonian)(self.n, self.j0)
 
     def transfer_time(self) -> float:
         return minimum_transfer_time(self.n, self.j0)

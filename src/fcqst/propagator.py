@@ -20,7 +20,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import BasisError, GridMismatchError, HermiticityError, SizeLimitError
+from .exceptions import (
+    BasisError,
+    GridMismatchError,
+    HermiticityError,
+    InvalidSizeError,
+    SizeLimitError,
+)
 from .spin_model import (
     EFFECTIVE3,
     HERMITICITY_TOL,
@@ -40,8 +46,15 @@ KRYLOV_CHECK_EVERY = 4  # Lanczos steps between estimates
 DENSE_MAX_N = 64
 
 
+def require_positive_j0(j0: float) -> None:
+    """Raise InvalidSizeError unless the coupling bound j0 is finite and positive."""
+    if not (math.isfinite(j0) and j0 > 0):
+        raise InvalidSizeError(f"j0 must be finite and positive, got {j0}")
+
+
 def minimum_transfer_time(n: int, j0: float = 1.0) -> float:
     """Transfer time pi / (j0 sqrt(2 n)) of the named optimal constant protocols."""
+    require_positive_j0(j0)
     return np.pi / (j0 * np.sqrt(2.0 * n))
 
 
@@ -54,20 +67,9 @@ def _as_hermitian_array(h) -> np.ndarray:
     return m
 
 
-def expm_hermitian(h, t: float) -> np.ndarray:
-    """exp(-i h t) for a Hermitian matrix (or SectorMatrix) via eigh."""
-    m = _as_hermitian_array(h)
-    if np.abs(m.imag).max() == 0.0:
-        w, v = np.linalg.eigh(m.real)  # real-symmetric path is ~2x faster
-        v = v.astype(complex)
-    else:
-        w, v = np.linalg.eigh(m)
-    return (v * np.exp(-1j * w * t)) @ v.conj().T
-
-
 def evolve_constant(h, t: float) -> np.ndarray:
-    """Propagator of a constant Hamiltonian over time t."""
-    return expm_hermitian(h, t)
+    """exp(-i h t) of a constant Hermitian matrix (or SectorMatrix)."""
+    return segment_propagators(_as_hermitian_array(h), t)
 
 
 def evolve_source(h: np.ndarray, t: float) -> tuple[np.ndarray, int]:
@@ -169,32 +171,37 @@ class ControlSchedule:
         return self.segments[0][1].dim
 
 
-def segment_propagators(mats: np.ndarray, durations: np.ndarray) -> np.ndarray:
-    """Batched exp(-i H_k dt_k) for a (K, d, d) stack of Hermitian matrices."""
+def segment_propagators(mats: np.ndarray, durations) -> np.ndarray:
+    """exp(-i H dt) for a (..., d, d) stack of Hermitian matrices.
+
+    ``durations`` broadcasts against the stack's leading axes: one per
+    matrix, one per segment of a (C, K, d, d) stack, or a scalar.  Each
+    propagator is (v e^{-i w dt}) v^H from ``eigh``; a stack without
+    imaginary parts takes the real-symmetric ``eigh``, about twice as fast.
+    """
     if np.abs(mats.imag).max() == 0.0:
         w, v = np.linalg.eigh(mats.real)
         v = v.astype(complex)
     else:
         w, v = np.linalg.eigh(mats)
-    phases = np.exp(-1j * w * durations[:, None])
-    return np.einsum("kij,kj,klj->kil", v, phases, v.conj())
+    phases = np.exp(-1j * w * np.asarray(durations)[..., None])
+    return (v * phases[..., None, :]) @ np.swapaxes(v.conj(), -1, -2)
 
 
 def ordered_product(us: np.ndarray) -> np.ndarray:
-    """Time-ordered product U_K ... U_2 U_1 of a (K, d, d) stack.
+    """Time-ordered product U_K ... U_2 U_1 over axis -3 of a (..., K, d, d) stack.
 
     Pairwise tree reduction keeps the Python-level loop O(log K) for the
-    fine grids used by interaction-picture and residual checks.
+    fine grids used by interaction-picture and residual checks, and
+    multiplies every leading index (e.g. each candidate pulse) at once.
     """
-    while us.shape[0] > 1:
-        k = us.shape[0]
-        even = us[0:k - (k % 2):2]
-        odd = us[1:k:2]
-        merged = np.matmul(odd, even)  # later segment acts on the left
+    while us.shape[-3] > 1:
+        k = us.shape[-3]
+        merged = us[..., 1:k:2, :, :] @ us[..., 0:k - 1:2, :, :]  # later segment on the left
         if k % 2:
-            merged = np.concatenate([merged, us[k - 1:k]], axis=0)
+            merged = np.concatenate([merged, us[..., k - 1:, :, :]], axis=-3)
         us = merged
-    return us[0]
+    return us[..., 0, :, :]
 
 
 def evolve_schedule(schedule: ControlSchedule) -> np.ndarray:
@@ -248,7 +255,7 @@ def lr_commutator_check(model: SpinModel, t: float) -> complex:
         raise SizeLimitError(
             f"commutator check limited to n <= {LR_MAX_QUBITS}, got n={model.n}")
     h = project_full_space(model)
-    u = expm_hermitian(h, t)
+    u = evolve_constant(h, t)
     dim = u.shape[0]
     psi0 = np.zeros(dim, dtype=complex)
     psi0[0] = 1.0

@@ -27,7 +27,8 @@ package's keyed streams, so results are bit-reproducible from the seed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -37,6 +38,7 @@ from .propagator import (
     ControlSchedule,
     minimum_transfer_time,
     ordered_product,
+    require_positive_j0,
     segment_propagators,
 )
 from .rng import KeyedStream
@@ -90,12 +92,7 @@ class PulseParams:
                 for k in range(self.n_segments)]
 
     def matrices(self) -> np.ndarray:
-        mats = np.zeros((self.n_segments, 3, 3), dtype=complex)
-        mats[:, 0, 0], mats[:, 1, 1], mats[:, 2, 2] = self.d1, self.da, self.dn
-        mats[:, 0, 1], mats[:, 1, 0] = self.j1a, self.j1a.conj()
-        mats[:, 1, 2], mats[:, 2, 1] = self.jan, self.jan.conj()
-        mats[:, 0, 2], mats[:, 2, 0] = self.j1n, self.j1n.conj()
-        return mats
+        return _effective_matrices(self.j1a, self.jan, self.j1n, self.d1, self.da, self.dn)
 
     def bound_report(self) -> dict[str, float]:
         ba, _, bn = self.bounds
@@ -111,6 +108,16 @@ class SearchResult:
     evaluations: int
     seed: int
     restarts_hit_bound: int = 0
+
+
+def _effective_matrices(j1a, jan, j1n, d1, da, dn) -> np.ndarray:
+    """(..., 3, 3) Hamiltonians from (...)-shaped couplings and diagonals."""
+    mats = np.zeros(j1a.shape + (3, 3), dtype=complex)
+    mats[..., 0, 0], mats[..., 1, 1], mats[..., 2, 2] = d1, da, dn
+    mats[..., 0, 1], mats[..., 1, 0] = j1a, j1a.conj()
+    mats[..., 1, 2], mats[..., 2, 1] = jan, jan.conj()
+    mats[..., 0, 2], mats[..., 2, 0] = j1n, j1n.conj()
+    return mats
 
 
 def _project_disc(values: np.ndarray, bound: float) -> np.ndarray:
@@ -150,85 +157,52 @@ class _Problem:
         self.durations = np.full(n_segments, total_time / n_segments)
 
     def project(self, x: np.ndarray) -> np.ndarray:
-        v = x.reshape(self.k, self.per_seg).copy()
+        """Clip a (..., dim) batch of parameter vectors into the bounds."""
+        v = x.reshape(x.shape[:-1] + (self.k, self.per_seg)).copy()
         if self.controls == "real_symmetric":
-            v[:, 0] = np.clip(v[:, 0], -self.b_coll, self.b_coll)
-            v[:, 1] = np.clip(v[:, 1], -self.j0, self.j0)
+            v[..., 0] = np.clip(v[..., 0], -self.b_coll, self.b_coll)
+            v[..., 1] = np.clip(v[..., 1], -self.j0, self.j0)
         elif self.controls == "real":
             for col, bound in enumerate(self.coupling_bounds):
-                v[:, col] = np.clip(v[:, col], -bound, bound)
+                v[..., col] = np.clip(v[..., col], -bound, bound)
         else:
-            ja = _project_disc(v[:, 0] + 1j * v[:, 1], self.b_coll)
-            jb = _project_disc(v[:, 2] + 1j * v[:, 3], self.b_coll)
-            jn = _project_disc(v[:, 4] + 1j * v[:, 5], self.j0)
-            v[:, 0], v[:, 1] = ja.real, ja.imag
-            v[:, 2], v[:, 3] = jb.real, jb.imag
-            v[:, 4], v[:, 5] = jn.real, jn.imag
-        return v.reshape(-1)
+            for col, bound in zip((0, 2, 4), self.coupling_bounds):
+                jc = _project_disc(v[..., col] + 1j * v[..., col + 1], bound)
+                v[..., col], v[..., col + 1] = jc.real, jc.imag
+        return v.reshape(x.shape)
+
+    def expand(self, xs: np.ndarray) -> tuple[np.ndarray, ...]:
+        """(j1a, jan, j1n, d1, da, dn), each (..., K), of a (..., dim) batch.
+
+        Every array is a fresh copy, so pulses alias neither the parameter
+        vector nor each other.
+        """
+        v = xs.reshape(xs.shape[:-1] + (self.k, self.per_seg))
+        if self.controls == "real_symmetric":
+            ja = v[..., 0].astype(complex)
+            zeros = np.zeros(ja.shape)
+            return (ja, ja.copy(), v[..., 1].astype(complex),
+                    zeros, v[..., 2].copy(), zeros.copy())
+        if self.controls == "real":
+            return (*(v[..., col].astype(complex) for col in range(3)),
+                    *(v[..., col].copy() for col in range(3, 6)))
+        return (*(v[..., col] + 1j * v[..., col + 1] for col in (0, 2, 4)),
+                *(v[..., col].copy() for col in range(6, 9)))
 
     def matrices(self, xs: np.ndarray) -> np.ndarray:
-        """(C, K, 3, 3) Hamiltonian stacks for a (C, dim) batch of vectors."""
-        c = xs.shape[0]
-        v = xs.reshape(c, self.k, self.per_seg)
-        mats = np.zeros((c, self.k, 3, 3), dtype=complex)
-        if self.controls == "real_symmetric":
-            ja = v[:, :, 0].astype(complex)
-            jb = ja
-            jn = v[:, :, 1].astype(complex)
-            mats[:, :, 1, 1] = v[:, :, 2]
-        elif self.controls == "real":
-            ja, jb, jn = (v[:, :, col].astype(complex) for col in range(3))
-            mats[:, :, 0, 0] = v[:, :, 3]
-            mats[:, :, 1, 1] = v[:, :, 4]
-            mats[:, :, 2, 2] = v[:, :, 5]
-        else:
-            ja = v[:, :, 0] + 1j * v[:, :, 1]
-            jb = v[:, :, 2] + 1j * v[:, :, 3]
-            jn = v[:, :, 4] + 1j * v[:, :, 5]
-            mats[:, :, 0, 0] = v[:, :, 6]
-            mats[:, :, 1, 1] = v[:, :, 7]
-            mats[:, :, 2, 2] = v[:, :, 8]
-        mats[:, :, 0, 1], mats[:, :, 1, 0] = ja, ja.conj()
-        mats[:, :, 1, 2], mats[:, :, 2, 1] = jb, jb.conj()
-        mats[:, :, 0, 2], mats[:, :, 2, 0] = jn, jn.conj()
-        return mats
+        """(..., K, 3, 3) Hamiltonian stacks for a (..., dim) batch of vectors."""
+        return _effective_matrices(*self.expand(xs))
 
     def fidelity_batch(self, xs: np.ndarray) -> np.ndarray:
-        mats = self.matrices(xs)
-        c = mats.shape[0]
-        w, vv = np.linalg.eigh(mats.reshape(c * self.k, 3, 3))
-        phases = np.exp(-1j * w * np.tile(self.durations, c)[:, None])
-        us = np.einsum("kij,kj,klj->kil", vv, phases, vv.conj()).reshape(c, self.k, 3, 3)
-        amps = np.empty(c)
-        for i in range(c):
-            u = us[i, 0]
-            for s in range(1, self.k):
-                u = us[i, s] @ u
-            amps[i] = abs(u[2, 0])
-        return amps
+        """|<phi_3|U(T)|phi_1>| for each vector of a (C, dim) batch."""
+        us = segment_propagators(self.matrices(xs), self.durations)
+        return np.abs(ordered_product(us)[..., 2, 0])
 
     def fidelity(self, x: np.ndarray) -> float:
-        # single-candidate path shares the propagator module's primitives so
-        # the reported optimum is bit-identical to an independent recompute
-        us = segment_propagators(self.matrices(x[None])[0], self.durations)
-        return float(abs(ordered_product(us)[2, 0]))
+        return float(self.fidelity_batch(x[None])[0])
 
     def pulse(self, x: np.ndarray) -> PulseParams:
-        v = x.reshape(self.k, self.per_seg)
-        if self.controls == "real_symmetric":
-            ja = v[:, 0].astype(complex)
-            return PulseParams(n=self.n, j0=self.j0, total_time=self.total_time,
-                               j1a=ja, jan=ja.copy(), j1n=v[:, 1].astype(complex),
-                               d1=np.zeros(self.k), da=v[:, 2].copy(), dn=np.zeros(self.k))
-        if self.controls == "real":
-            return PulseParams(n=self.n, j0=self.j0, total_time=self.total_time,
-                               j1a=v[:, 0].astype(complex), jan=v[:, 1].astype(complex),
-                               j1n=v[:, 2].astype(complex),
-                               d1=v[:, 3].copy(), da=v[:, 4].copy(), dn=v[:, 5].copy())
-        return PulseParams(n=self.n, j0=self.j0, total_time=self.total_time,
-                           j1a=v[:, 0] + 1j * v[:, 1], jan=v[:, 2] + 1j * v[:, 3],
-                           j1n=v[:, 4] + 1j * v[:, 5],
-                           d1=v[:, 6].copy(), da=v[:, 7].copy(), dn=v[:, 8].copy())
+        return PulseParams(self.n, self.j0, self.total_time, *self.expand(x))
 
     def random_start(self, stream: KeyedStream, constant: bool) -> np.ndarray:
         """Random in-bounds start; ``constant`` replicates one draw across segments."""
@@ -290,8 +264,7 @@ def _ascend(problem: _Problem, x0: np.ndarray, max_iters: int,
                 alpha *= 0.5
         if not improved:
             # derivative-free fallback: axis steps of +-delta
-            cands = np.concatenate([x + delta * eye, x - delta * eye], axis=0)
-            cands = np.array([problem.project(c) for c in cands])
+            cands = problem.project(np.concatenate([x + delta * eye, x - delta * eye], axis=0))
             fs = problem.fidelity_batch(cands)
             evals += cands.shape[0]
             best = int(np.argmax(fs))
@@ -324,8 +297,9 @@ def optimize_pulse(n: int, j0: float, total_time: float, n_segments: int,
     """
     if n < 3 or n_segments < 1 or restarts < 1:
         raise InvalidSizeError("need n >= 3, n_segments >= 1, restarts >= 1")
-    if total_time < 0:
-        raise InvalidSizeError(f"total_time must be nonnegative, got {total_time}")
+    require_positive_j0(j0)
+    if not (math.isfinite(total_time) and total_time >= 0):
+        raise InvalidSizeError(f"total_time must be finite and nonnegative, got {total_time}")
     problem = _Problem(n, j0, total_time, n_segments,
                        _controls(real_symmetric, real_couplings))
     if total_time == 0:
@@ -346,10 +320,8 @@ def optimize_pulse(n: int, j0: float, total_time: float, n_segments: int,
             best_x, best_f = x, f
         if stop_fidelity is not None and best_f >= stop_fidelity:
             break
-    # final value re-derived through the propagator primitives (identical
-    # path); clamped into [0, 1] against unitarity roundoff
-    final = problem.fidelity(best_x)
-    return SearchResult(best_fidelity=min(best_f, final, 1.0),
+    # clamped into [0, 1] against unitarity roundoff
+    return SearchResult(best_fidelity=min(best_f, 1.0),
                         best_pulse=problem.pulse(best_x),
                         evaluations=total_evals, seed=seed, restarts_hit_bound=hit_bound)
 
@@ -363,10 +335,13 @@ def pulse_to_schedule(pulse: PulseParams) -> ControlSchedule:
 
 @dataclass(frozen=True)
 class BisectionSample:
+    """One bisection probe; ``best_pulse`` is left out of comparisons."""
+
     total_time: float
     best_fidelity: float
     evaluations: int
     restarts_hit_bound: int
+    best_pulse: PulseParams = field(compare=False)
 
 
 @dataclass(frozen=True)
@@ -389,7 +364,8 @@ def min_time_bisection(n: int, j0: float, fid_target: float, time_tol: float,
     failure, not physics) sets ``monotonic_warning``.  ``real_couplings`` is
     passed on to :func:`optimize_pulse`.
     """
-    if time_tol <= 0:
+    require_positive_j0(j0)
+    if not time_tol > 0:
         raise InvalidSizeError("time_tol must be positive")
     if fid_target <= 0.0:
         return BisectionResult(t_star=0.0, fid_target=fid_target, samples=(),
@@ -406,10 +382,11 @@ def min_time_bisection(n: int, j0: float, fid_target: float, time_tol: float,
                              max_iters=max_iters, stop_fidelity=fid_target)
         samples.append(BisectionSample(total_time=t, best_fidelity=res.best_fidelity,
                                        evaluations=res.evaluations,
-                                       restarts_hit_bound=res.restarts_hit_bound))
+                                       restarts_hit_bound=res.restarts_hit_bound,
+                                       best_pulse=res.best_pulse))
         return res.best_fidelity >= fid_target
 
-    lo, hi = 0.0, 2.0 * np.pi / (j0 * np.sqrt(2.0 * n))
+    lo, hi = 0.0, 2.0 * minimum_transfer_time(n, j0)
     if not probe(hi):
         return BisectionResult(t_star=hi, fid_target=fid_target,
                                samples=tuple(samples), monotonic_warning=True)
@@ -426,7 +403,3 @@ def min_time_bisection(n: int, j0: float, fid_target: float, time_tol: float,
     return BisectionResult(t_star=hi, fid_target=fid_target, samples=tuple(samples),
                            monotonic_warning=warning)
 
-
-def optimal_time_reference(n: int, j0: float) -> float:
-    """The closed-form reference time the empirical search is compared against."""
-    return minimum_transfer_time(n, j0)

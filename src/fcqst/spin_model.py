@@ -180,6 +180,18 @@ def build_h_opt_prime(n: int, j0: float) -> SpinModel:
     return SpinModel(n=n, couplings=couplings, fields=tuple(fields))
 
 
+HAMILTONIANS = {"opt": build_h_opt, "opt_prime": build_h_opt_prime}
+
+
+def hamiltonian_builder(name: str):
+    """Builder registered under ``name``; "-" and "_" spell the same name."""
+    builder = HAMILTONIANS.get(str(name).replace("-", "_"))
+    if builder is None:
+        raise InvalidSizeError(
+            f"hamiltonian must be one of {sorted(HAMILTONIANS)}, got {name!r}")
+    return builder
+
+
 def _require_transfer_size(n: int, j0: float) -> None:
     if n < 3:
         raise InvalidSizeError(

@@ -60,6 +60,32 @@ def eig_propagator(h, t):
     return (v * np.exp(-1j * w * t)) @ v.conj().T
 
 
+def unbatched_eigh_propagator(h, t):
+    """exp(-i h t) by the one-matrix formula the batched kernel replaced.
+
+    The real-symmetric ``eigh`` when h has no imaginary part, then
+    (v e^{-i w t}) v^H; ``evolve_constant`` must reproduce it bit for bit.
+    """
+    m = np.asarray(h, dtype=complex)
+    if np.abs(m.imag).max() == 0.0:
+        w, v = np.linalg.eigh(m.real)
+        v = v.astype(complex)
+    else:
+        w, v = np.linalg.eigh(m)
+    return (v * np.exp(-1j * w * t)) @ v.conj().T
+
+
+def sequential_product(us):
+    """U_K ... U_1 of each candidate's (K, d, d) stack, one multiply at a time."""
+    out = []
+    for stack in us:
+        u = stack[0]
+        for seg in stack[1:]:
+            u = seg @ u
+        out.append(u)
+    return np.array(out)
+
+
 def single_excitation_loop(model):
     """Single-excitation matrix and vacuum energy, one pair at a time.
 

@@ -194,3 +194,28 @@ def test_speed_scan_trivial_target(tmp_path, capsys):
     assert code == 0
     summary = json.loads(err.splitlines()[-1])
     assert summary["t_star"] == 0.0
+
+
+def test_speed_scan_rejects_bad_j0(capsys):
+    code, _, err = run_cli(capsys, "speed-scan", "--n", "3", "--j0", "-1", "--target", "1e-3")
+    assert code == 2
+    assert "j0 must be finite and positive" in err
+
+
+def test_verify_accepts_both_opt_prime_spellings(capsys):
+    fidelities = []
+    for name in ("opt-prime", "opt_prime"):
+        code, out, _ = run_cli(capsys, "verify", "--n", "6", "--hamiltonian", name)
+        assert code == 0
+        fidelities.append(json.loads(out)["fidelity"])
+    assert fidelities[0] == fidelities[1]
+
+
+def test_noise_accepts_both_opt_prime_spellings(capsys):
+    outs = {}
+    for name in ("opt", "opt_prime", "opt-prime"):
+        code, out, _ = run_cli(capsys, "noise", "--n", "6", "--sigma-c", "0.1",
+                               "--trials", "4", "--seed", "2", "--hamiltonian", name)
+        assert code == 0
+        outs[name] = out
+    assert outs["opt-prime"] == outs["opt_prime"] != outs["opt"]

@@ -14,11 +14,24 @@ from fcqst import (
 )
 from fcqst import noise_mc
 from fcqst.effective3 import reduce_to_effective, transfer_form_unitary
-from fcqst.exceptions import BasisError, GridMismatchError, HermiticityError, SizeLimitError
-from fcqst.propagator import DENSE_MAX_N, KRYLOV_MAX_DIM, _lanczos_source, evolve_source
+from fcqst.exceptions import (
+    BasisError,
+    GridMismatchError,
+    HermiticityError,
+    InvalidSizeError,
+    SizeLimitError,
+)
+from fcqst.propagator import (
+    DENSE_MAX_N,
+    KRYLOV_MAX_DIM,
+    _lanczos_source,
+    evolve_source,
+    ordered_product,
+    segment_propagators,
+)
 from fcqst.spin_model import EFFECTIVE3, FULL_SPACE, SINGLE_EXCITATION, SectorMatrix
 
-from oracles import eig_propagator
+from oracles import eig_propagator, sequential_product, unbatched_eigh_propagator
 
 
 def _sector(mat, tag=EFFECTIVE3):
@@ -29,6 +42,48 @@ def _random_hermitian(dim, seed):
     gen = np.random.default_rng(seed)
     a = gen.normal(size=(dim, dim)) + 1j * gen.normal(size=(dim, dim))
     return (a + a.conj().T) / 2
+
+
+def _hermitian_stack(shape, dim, real, seed):
+    gen = np.random.default_rng(seed)
+    a = gen.normal(size=shape + (dim, dim))
+    if not real:
+        a = a + 1j * gen.normal(size=shape + (dim, dim))
+    return ((a + np.swapaxes(a.conj(), -1, -2)) / 2).astype(complex)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 12, 64])
+def test_evolve_constant_is_the_unbatched_formula(dim):
+    herm = _random_hermitian(dim, dim)
+    for h in (herm.real, herm.real.astype(complex), herm):
+        for t in (0.0, 0.37, 5.0):
+            assert np.array_equal(evolve_constant(h, t), unbatched_eigh_propagator(h, t))
+
+
+@pytest.mark.parametrize("real", [True, False])
+@pytest.mark.parametrize("dim", [3, 6])
+def test_segment_propagators_on_candidate_stacks(dim, real):
+    mats = _hermitian_stack((4, 5), dim, real, seed=dim)
+    per_segment = np.linspace(0.1, 1.3, 5)
+    per_matrix = np.linspace(0.2, 2.1, 20).reshape(4, 5)
+    for durations in (per_segment, per_matrix):
+        us = segment_propagators(mats, durations)
+        assert us.shape == (4, 5, dim, dim)
+        dts = np.broadcast_to(durations, (4, 5))
+        for c in range(4):
+            for k in range(5):
+                expected = eig_propagator(mats[c, k], dts[c, k])
+                assert np.abs(us[c, k] - expected).max() < 1e-13
+
+
+@pytest.mark.parametrize("k", [1, 3, 8])
+def test_ordered_product_on_candidate_stacks(k):
+    us = segment_propagators(_hermitian_stack((4, k), 3, False, seed=k), np.full(k, 0.7))
+    products = ordered_product(us)
+    assert products.shape == (4, 3, 3)
+    assert np.abs(products - sequential_product(us)).max() < 1e-13
+    for c in range(4):  # one (K, d, d) stack, as a schedule passes it
+        assert np.array_equal(ordered_product(us[c]), products[c])
 
 
 def test_zero_hamiltonian_gives_identity():
@@ -180,6 +235,12 @@ def test_minimum_transfer_time_values():
     assert abs(minimum_transfer_time(8, 1.0) - np.pi / 4) < 1e-15
     assert abs(minimum_transfer_time(3, 1.0) - np.pi / np.sqrt(6)) < 1e-15
     assert abs(minimum_transfer_time(4, 2.0) - np.pi / (2 * np.sqrt(8))) < 1e-15
+
+
+def test_minimum_transfer_time_rejects_bad_j0():
+    for j0 in (0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(InvalidSizeError, match="j0"):
+            minimum_transfer_time(5, j0)
 
 
 def test_lr_commutator_trivial_cases():

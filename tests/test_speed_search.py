@@ -102,6 +102,50 @@ def test_invalid_arguments():
         optimize_pulse(4, 1.0, 1.0, 0, 1, seed=0)
     with pytest.raises(InvalidSizeError):
         optimize_pulse(4, 1.0, 1.0, 4, 1, seed=0, real_symmetric=True, real_couplings=True)
+    # j0 = -1 used to run and return 0.516, and NaN raised a LinAlgError
+    for j0 in (-1.0, 0.0, np.nan, np.inf):
+        with pytest.raises(InvalidSizeError, match="j0"):
+            optimize_pulse(4, j0, 1.0, 4, 1, seed=0)
+    # NaN and inf used to raise a TypeError after the search
+    for total_time in (np.nan, np.inf):
+        with pytest.raises(InvalidSizeError, match="total_time"):
+            optimize_pulse(4, 1.0, total_time, 4, 1, seed=0)
+
+
+def test_bisection_rejects_invalid_coupling_scale():
+    # j0 = 0 used to raise a TypeError from an infinite time window
+    for j0 in (0.0, -1.0, np.nan):
+        with pytest.raises(InvalidSizeError, match="j0"):
+            min_time_bisection(4, j0, 1.0 - 1e-3, 1e-2)
+
+
+def test_single_fidelity_is_the_batch_path():
+    gen = np.random.default_rng(3)
+    for controls in ("complex", "real", "real_symmetric"):
+        problem = _Problem(4, 1.0, 1.1, 8, controls)
+        xs = problem.project(gen.normal(scale=2.0, size=(12, problem.dim)))
+        batch = problem.fidelity_batch(xs)
+        for x, f in zip(xs, batch):
+            assert problem.fidelity(x) == problem.fidelity_batch(x[None])[0]
+            assert abs(problem.fidelity(x) - f) <= 1e-14
+            pulse = problem.pulse(x)
+            assert np.array_equal(pulse.matrices(), problem.matrices(x))
+            assert not np.shares_memory(pulse.j1a, pulse.jan)
+            assert not any(np.shares_memory(getattr(pulse, name), x)
+                           for name in ("j1a", "jan", "j1n", "d1", "da", "dn"))
+
+
+def test_bisection_samples_keep_their_pulses():
+    res = min_time_bisection(3, 1.0, 1.0 - 1e-3, 0.1, n_segments=2, restarts=2,
+                             seed=4, max_iters=30, real_couplings=True)
+    assert res.samples
+    for s in res.samples:
+        assert s.best_pulse.total_time == s.total_time
+        assert np.all(s.best_pulse.j1a.imag == 0.0)
+    # the pulse takes no part in comparisons, so sample tuples still compare
+    again = min_time_bisection(3, 1.0, 1.0 - 1e-3, 0.1, n_segments=2, restarts=2,
+                               seed=4, max_iters=30, real_couplings=True)
+    assert again.samples == res.samples
 
 
 def test_bisection_trivial_target():
@@ -117,6 +161,8 @@ def test_bisection_rejects_weak_targets():
         min_time_bisection(4, 1.0, 1.0, 1e-3)
     with pytest.raises(InvalidSizeError):
         min_time_bisection(4, 1.0, 0.99, -1.0)
+    with pytest.raises(InvalidSizeError):
+        min_time_bisection(4, 1.0, 0.99, np.nan)
 
 
 def test_bisection_locates_transfer_window_coarsely():
