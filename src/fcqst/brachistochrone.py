@@ -21,12 +21,14 @@ evaluates all four on a schedule grid.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .effective3 import Effective3
 from .exceptions import BoundViolationError, GridMismatchError, InvalidSizeError, UnsupportedCaseError
+from .spin_model import require_transfer_size
 
 
 @dataclass(frozen=True)
@@ -162,6 +164,16 @@ def qb_residuals(segments, m_traj, n: int, j0: float) -> ResidualReport:
                           constraint=float(r_cons), complementarity=float(r_comp))
 
 
+def _require_case7_bar(j1n_bar: float | None, j0: float) -> None:
+    """Case 7 needs a finite source-target coupling with |j1n_bar| <= j0."""
+    if j1n_bar is None:
+        raise UnsupportedCaseError("case 7 needs j1n_bar")
+    if not math.isfinite(j1n_bar):
+        raise InvalidSizeError(f"j1n_bar must be finite, got {j1n_bar}")
+    if abs(j1n_bar) > j0 * (1.0 + 1e-12):
+        raise BoundViolationError(f"|j1n_bar|={abs(j1n_bar)} exceeds j0={j0}")
+
+
 def stationary_multipliers(case_id: int, n: int, j0: float,
                            j1n_bar: float | None = None) -> QBMultipliers:
     """Constant multipliers solving the stationarity system for case 7 or 8.
@@ -182,15 +194,11 @@ def stationary_multipliers(case_id: int, n: int, j0: float,
     if case_id not in (7, 8):
         raise UnsupportedCaseError(
             f"only cases 7 and 8 have constant-control stationary solutions, got {case_id}")
-    if n < 3:
-        raise InvalidSizeError(f"need n >= 3, got n={n}")
+    require_transfer_size(n, j0)
     if case_id == 8:
         lam = 1.0 / (2.0 * (2 * n - 3) * j0 * j0)
         return QBMultipliers(lam1a=lam, laman=lam, lam1n=lam)
-    if j1n_bar is None:
-        raise UnsupportedCaseError("case 7 needs j1n_bar")
-    if abs(j1n_bar) > j0 * (1.0 + 1e-12):
-        raise BoundViolationError(f"|j1n_bar|={abs(j1n_bar)} exceeds j0={j0}")
+    _require_case7_bar(j1n_bar, j0)
     if abs(abs(j1n_bar) - j0) <= 1e-12 * j0:
         return stationary_multipliers(8, n, j0)
     lam_a = 1.0 / (4.0 * (n - 2) * j0 * j0)
@@ -209,6 +217,7 @@ def case_stationary_solution(case_id: int, n: int, j0: float,
     Supports the three solvable cases; the Hamiltonian lives in the
     zero-diagonal, constant-phase verification frame.
     """
+    require_transfer_size(n, j0)
     a = np.sqrt(n - 2) * j0
     if case_id == 6:
         h = Effective3(j1a=0.0, jan=0.0, j1n=j0 * np.exp(-1j * phi_1n))
@@ -226,19 +235,13 @@ def case_minimum_time(case_id: int, n: int, j0: float,
                       j1n_bar: float | None = None) -> float | None:
     """Minimum transfer time of a catalog case; None where no minimum exists."""
     spec = _case(case_id)
-    if n < 3:
-        raise InvalidSizeError(f"need n >= 3, got n={n}")
-    if not j0 > 0:
-        raise InvalidSizeError(f"j0 must be positive, got {j0}")
+    require_transfer_size(n, j0)
     if not spec.has_minimum:
         return None
     if case_id == 6:
         return float(np.pi / (2.0 * j0))
     if case_id == 7:
-        if j1n_bar is None:
-            raise UnsupportedCaseError("case 7 needs j1n_bar")
-        if abs(j1n_bar) > j0 * (1.0 + 1e-12):
-            raise BoundViolationError(f"|j1n_bar|={abs(j1n_bar)} exceeds j0={j0}")
+        _require_case7_bar(j1n_bar, j0)
         return float(np.pi / np.sqrt(2.0 * (n - 2) * j0 * j0 + 4.0 * j1n_bar * j1n_bar))
     return float(np.pi / (j0 * np.sqrt(2.0 * n)))
 
@@ -257,11 +260,8 @@ def case_hamiltonian(case_id: int, n: int, j0: float, *, phi_1n: float = 0.0,
     if case_id == 6:
         return Effective3(j1a=0.0, jan=0.0, j1n=j0 * np.exp(-1j * phi_1n))
     if case_id == 7:
-        if j1n_bar is None:
-            raise UnsupportedCaseError("case 7 needs j1n_bar")
+        _require_case7_bar(j1n_bar, j0)
         m = abs(j1n_bar)
-        if m > j0 * (1.0 + 1e-12):
-            raise BoundViolationError(f"|j1n_bar|={m} exceeds j0={j0}")
         c = 4.0 * m if c1a is None else float(c1a)
         return Effective3(j1a=a, jan=a, j1n=m, d1=c - m, da=0.0, dn=c - m)
     if case_id == 8:

@@ -22,7 +22,8 @@ import numpy as np
 
 from .exceptions import InvalidSizeError, SymmetryError, UnitarityError
 from .reports import ConstraintReport, Violation
-from .spin_model import EFFECTIVE3, SectorMatrix, SpinModel, project_single_excitation
+from .spin_model import (EFFECTIVE3, SectorMatrix, SpinModel, project_single_excitation,
+                         require_transfer_size)
 
 SYMMETRY_TOL = 1e-12
 BOUNDARY_TOL = 1e-9
@@ -74,17 +75,17 @@ class Effective3:
         )
 
 
-def _uniform_value(values: dict, what: str, tol: float):
-    """All dict values equal within tol, else SymmetryError naming a pair."""
-    items = sorted(values.items())
-    if not items:
-        return 0.0 + 0.0j
-    ref_key, ref = items[0]
-    for key, val in items[1:]:
-        if abs(val - ref) > tol:
-            raise SymmetryError(
-                f"{what} not uniform: {ref_key} -> {ref}, {key} -> {val}")
-    return ref
+def _uniform_value(matrix: np.ndarray, rows: np.ndarray, cols: np.ndarray,
+                   what: str, tol: float):
+    """matrix[rows[0], cols[0]] if every matrix[rows, cols] is within tol of it,
+    else a SymmetryError naming the first (0-based rows, cols) pair that is not."""
+    values = matrix[rows, cols]
+    bad = np.flatnonzero(np.abs(values - values[:1]) > tol)
+    if bad.size:
+        first, k = (int(rows[0]) + 1, int(cols[0]) + 1), bad[0]
+        raise SymmetryError(f"{what} not uniform: {first} -> {values[0]}, "
+                            f"{(int(rows[k]) + 1, int(cols[k]) + 1)} -> {values[k]}")
+    return values[0] if values.size else 0.0 + 0.0j
 
 
 def reduce_to_effective(model: SpinModel, tol: float = SYMMETRY_TOL) -> Effective3:
@@ -98,39 +99,32 @@ def reduce_to_effective(model: SpinModel, tol: float = SYMMETRY_TOL) -> Effectiv
     n = model.n
     if n < 3:
         raise InvalidSizeError(f"reduction needs n >= 3, got n={n}")
-    mids = range(2, n)
-
-    j_1mid = _uniform_value({(1, k): model.coupling(1, k) for k in mids},
-                            "source-intermediate coupling", tol)
-    j_midn = _uniform_value({(k, n): model.coupling(k, n) for k in mids},
-                            "intermediate-target coupling", tol)
-    j_mid = _uniform_value({(k, l): model.coupling(k, l) for k in mids for l in mids if k < l},
-                           "intermediate-intermediate coupling", tol)
-    if abs(j_mid.imag) > tol:
+    m = n - 2
+    mids = np.arange(1, n - 1)                 # 0-based intermediate sites
+    blocks = {"source-intermediate": (np.zeros(m, dtype=int), mids),
+              "intermediate-target": (mids, np.full(m, n - 1)),
+              "intermediate-intermediate": tuple(k + 1 for k in np.triu_indices(m, 1))}
+    j = {name: _uniform_value(model.couplings, *sites, f"{name} coupling", tol)
+         for name, sites in blocks.items()}
+    if abs(j["intermediate-intermediate"].imag) > tol:
         # swapping two intermediates conjugates an oriented flip-flop term,
         # so only real couplings among them are permutation symmetric
-        raise SymmetryError(
-            f"intermediate-intermediate coupling must be real, got {j_mid}")
-    _uniform_value({(k, k): complex(model.fields[k - 1]) for k in mids},
-                   "intermediate field", tol)
-    _uniform_value({(1, k): complex(model.zz_coeff(1, k)) for k in mids},
-                   "source-intermediate ZZ", tol)
-    _uniform_value({(k, n): complex(model.zz_coeff(k, n)) for k in mids},
-                   "intermediate-target ZZ", tol)
-    _uniform_value({(k, l): complex(model.zz_coeff(k, l)) for k in mids for l in mids if k < l},
-                   "intermediate-intermediate ZZ", tol)
+        raise SymmetryError(f"intermediate-intermediate coupling must be real, "
+                            f"got {j['intermediate-intermediate']}")
+    _uniform_value(np.diag(model.fields), mids, mids, "intermediate field", tol)
+    for name, sites in blocks.items():
+        _uniform_value(model.zz, *sites, f"{name} ZZ", tol)
 
     h = project_single_excitation(model).entries
-    m = n - 2
     w = np.zeros(n)
     w[1:n - 1] = 1.0 / np.sqrt(m)
     d1 = float(h[0, 0].real)
     da = float((w @ h @ w).real)
     dn = float(h[n - 1, n - 1].real)
     return Effective3(
-        j1a=np.sqrt(m) * j_1mid,
-        jan=np.sqrt(m) * j_midn,
-        j1n=model.coupling(1, n),
+        j1a=np.sqrt(m) * j["source-intermediate"],
+        jan=np.sqrt(m) * j["intermediate-target"],
+        j1n=complex(model.couplings[0, n - 1]),
         d1=d1 - dn, da=da - dn, dn=0.0,
         frame_shift=dn,
     )
@@ -179,8 +173,7 @@ def accumulated_diagonal_phase(segments) -> np.ndarray:
 
 def check_effective_bounds(h: Effective3, n: int, j0: float) -> ConstraintReport:
     """Check |j1a|, |jan| <= sqrt(n-2) j0 and |j1n| <= j0 (diagonals free)."""
-    if n < 3:
-        raise InvalidSizeError(f"bounds need n >= 3, got n={n}")
+    require_transfer_size(n, j0)
     collective = np.sqrt(n - 2) * j0
     checks = [("j1a", abs(h.j1a), collective),
               ("jan", abs(h.jan), collective),

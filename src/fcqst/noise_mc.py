@@ -26,13 +26,14 @@ import numpy as np
 
 from . import rng
 from .exceptions import BasisError, InvalidSizeError
-from .propagator import evolve_source, minimum_transfer_time, require_positive_j0
+from .propagator import evolve_source, minimum_transfer_time
 from .spin_model import (
     SINGLE_EXCITATION,
     SectorMatrix,
     SpinModel,
     hamiltonian_builder,
     project_single_excitation,
+    require_positive_j0,
 )
 
 # per-trial scalar infidelities derived from the complex overlap F

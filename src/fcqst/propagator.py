@@ -23,17 +23,15 @@ import numpy as np
 from .exceptions import (
     BasisError,
     GridMismatchError,
-    HermiticityError,
-    InvalidSizeError,
     SizeLimitError,
 )
 from .spin_model import (
     EFFECTIVE3,
-    HERMITICITY_TOL,
     SINGLE_EXCITATION,
     SectorMatrix,
     SpinModel,
     project_full_space,
+    require_positive_j0,
 )
 
 LR_MAX_QUBITS = 10
@@ -46,30 +44,17 @@ KRYLOV_CHECK_EVERY = 4  # Lanczos steps between estimates
 DENSE_MAX_N = 64
 
 
-def require_positive_j0(j0: float) -> None:
-    """Raise InvalidSizeError unless the coupling bound j0 is finite and positive."""
-    if not (math.isfinite(j0) and j0 > 0):
-        raise InvalidSizeError(f"j0 must be finite and positive, got {j0}")
-
-
 def minimum_transfer_time(n: int, j0: float = 1.0) -> float:
     """Transfer time pi / (j0 sqrt(2 n)) of the named optimal constant protocols."""
     require_positive_j0(j0)
     return np.pi / (j0 * np.sqrt(2.0 * n))
 
 
-def _as_hermitian_array(h) -> np.ndarray:
-    m = h.entries if isinstance(h, SectorMatrix) else np.asarray(h, dtype=complex)
-    scale = max(1.0, float(np.abs(m).max()))
-    dev = float(np.abs(m - m.conj().T).max())
-    if dev > HERMITICITY_TOL * scale:
-        raise HermiticityError(f"propagator input not Hermitian: deviation {dev:.3e}")
-    return m
-
-
 def evolve_constant(h, t: float) -> np.ndarray:
-    """exp(-i h t) of a constant Hermitian matrix (or SectorMatrix)."""
-    return segment_propagators(_as_hermitian_array(h), t)
+    """exp(-i h t) of a SectorMatrix, or of an array that passes its checks."""
+    if not isinstance(h, SectorMatrix):
+        h = SectorMatrix(basis_tag="array", entries=h)
+    return segment_propagators(h.entries, t)
 
 
 def evolve_source(h: np.ndarray, t: float) -> tuple[np.ndarray, int]:
@@ -206,7 +191,7 @@ def ordered_product(us: np.ndarray) -> np.ndarray:
 
 def evolve_schedule(schedule: ControlSchedule) -> np.ndarray:
     """Propagator of a piecewise-constant schedule (right-to-left product)."""
-    mats = np.stack([_as_hermitian_array(h) for _, h in schedule.segments])
+    mats = np.stack([h.entries for _, h in schedule.segments])
     durations = np.array([dt for dt, _ in schedule.segments])
     return ordered_product(segment_propagators(mats, durations))
 

@@ -38,11 +38,10 @@ from .propagator import (
     ControlSchedule,
     minimum_transfer_time,
     ordered_product,
-    require_positive_j0,
     segment_propagators,
 )
 from .rng import KeyedStream
-from .spin_model import EFFECTIVE3, SectorMatrix
+from .spin_model import EFFECTIVE3, SectorMatrix, require_positive_j0
 
 FULL_PARAMS_PER_SEGMENT = 9       # Re/Im of three couplings + three diagonals
 REAL_PARAMS_PER_SEGMENT = 6       # three real couplings + three diagonals

@@ -20,13 +20,14 @@ Conventions
   3-level form (corner diagonals 0, middle diagonal -3 J0).
 * In the full 2^N space, qubit q maps to bit (q-1) of the basis index, so
   the single-excitation state |q> sits at index 2^(q-1).
+* Pairs are ordered row major, (1, 2), (1, 3), ..., (N-1, N); sums over
+  pairs add in that order.
 """
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
-from typing import Mapping
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,64 +46,109 @@ EFFECTIVE3 = "effective3"
 HERMITICITY_TOL = 1e-12
 FULL_SPACE_MAX_QUBITS = 12
 
-Pair = tuple[int, int]
+
+def require_positive_j0(j0: float) -> None:
+    """Raise InvalidSizeError unless the coupling bound j0 is finite and positive."""
+    if not (math.isfinite(j0) and j0 > 0):
+        raise InvalidSizeError(f"j0 must be finite and positive, got {j0}")
 
 
-def _canonical_pairs(n: int, raw: Mapping[Pair, complex] | None,
-                     conjugate_on_swap: bool) -> dict[Pair, complex]:
-    """Normalize pair keys to i < j; a swapped flip-flop key conjugates."""
-    out: dict[Pair, complex] = {}
-    for (i, j), val in (raw or {}).items():
-        if not (1 <= i <= n and 1 <= j <= n) or i == j:
-            raise InvalidSizeError(f"pair ({i},{j}) invalid for n={n}")
-        key, v = ((i, j), val) if i < j else ((j, i), np.conj(val) if conjugate_on_swap else val)
-        if key in out:
-            raise InvalidSizeError(f"pair {key} given twice")
-        out[key] = complex(v)
-    return out
+def require_transfer_size(n: int, j0: float) -> None:
+    """Raise InvalidSizeError unless n >= 3 (an intermediate qubit) and j0 is valid."""
+    if n < 3:
+        raise InvalidSizeError(
+            f"transfer construction needs n >= 3 (an intermediate qubit), got n={n}")
+    require_positive_j0(j0)
 
 
-@dataclass(frozen=True)
+def _read_only(x, dtype) -> np.ndarray:
+    """x itself if it is a read-only dtype array owning its memory, else a read-only copy."""
+    m = np.asarray(x, dtype=dtype)
+    if m.flags.writeable or not m.flags.owndata:
+        m = m.copy()
+        m.flags.writeable = False
+    return m
+
+
+def _exactly_hermitian(m: np.ndarray) -> bool:
+    """m equals its conjugate transpose, compared in row blocks to keep temporaries small."""
+    return all(np.array_equal(m[k:k + 64], m[:, k:k + 64].T.conj()) for k in range(0, len(m), 64))
+
+
+def _pair_matrix(n: int, raw, dtype, what: str) -> np.ndarray:
+    """Read-only (n, n) matrix of a {(i, j): value} dict or an (n, n) array.
+
+    A dict key (i, j) sets entry [i-1, j-1] to the value and [j-1, i-1] to
+    its conjugate (a real ``dtype`` keeps the real part).  Out-of-range,
+    diagonal, repeated and non-finite entries raise, and so does an array
+    that is not (n, n), zero on the diagonal and exactly Hermitian.
+    """
+    if raw is None or isinstance(raw, dict):
+        m = np.zeros((n, n), dtype=dtype)
+        for (i, j), val in (raw or {}).items():
+            if not (1 <= i <= n and 1 <= j <= n) or i == j:
+                raise InvalidSizeError(f"pair ({i},{j}) invalid for n={n}")
+            if (j, i) in raw:
+                raise InvalidSizeError(f"pair {(min(i, j), max(i, j))} given twice")
+            v = complex(val) if dtype is complex else complex(val).real
+            m[i - 1, j - 1], m[j - 1, i - 1] = v, v.conjugate()
+        m.flags.writeable = False
+    else:
+        m = _read_only(raw, dtype)
+        if m.shape != (n, n):
+            raise InvalidSizeError(f"{what} must have shape ({n}, {n}), got {m.shape}")
+    if not np.isfinite(m).all():
+        raise InvalidSizeError(f"{what} must be finite")
+    if np.diagonal(m).any() or not _exactly_hermitian(m):
+        raise InvalidSizeError(f"{what} must have a zero diagonal and be Hermitian")
+    return m
+
+
+def _upper_pairs(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """0-based rows, columns and values of the nonzero entries above the diagonal, row major."""
+    rows, cols = np.nonzero(m)
+    rows, cols = rows[rows < cols], cols[rows < cols]
+    return rows, cols, m[rows, cols]
+
+
+@dataclass(frozen=True, eq=False)
 class SpinModel:
     """One time slice of the model Hamiltonian.
 
-    ``couplings`` maps unordered pairs (i, j), i < j, to the flip-flop
-    amplitude J_ij (the matrix element <i|H|j> between single-excitation
-    states); ``zz`` maps pairs to real U_ij; ``fields`` holds B_1..B_N.
+    ``couplings`` is the read-only (n, n) complex Hermitian matrix with a
+    zero diagonal whose entry [i-1, j-1] is J_ij, the matrix element
+    <i|H|j> between single-excitation states; ``zz`` is the read-only
+    (n, n) real symmetric matrix of U_ij; ``fields`` holds B_1..B_N.  Both
+    matrices may be given as arrays or as {(i, j): value} pair dicts; a
+    read-only array that owns its memory is kept, any other is copied.
     Instances are immutable and safe to share between workers.
     """
 
     n: int
-    couplings: dict[Pair, complex] = field(default_factory=dict)
-    zz: dict[Pair, float] = field(default_factory=dict)
+    couplings: np.ndarray = None
+    zz: np.ndarray = None
     fields: tuple[float, ...] = ()
 
     def __post_init__(self):
         if self.n < 2:
             raise InvalidSizeError(f"need at least 2 qubits, got n={self.n}")
         object.__setattr__(self, "couplings",
-                           _canonical_pairs(self.n, self.couplings, conjugate_on_swap=True))
-        zz = _canonical_pairs(self.n, self.zz, conjugate_on_swap=False)
-        object.__setattr__(self, "zz", {k: float(v.real) for k, v in zz.items()})
+                           _pair_matrix(self.n, self.couplings, complex, "couplings"))
+        object.__setattr__(self, "zz", _pair_matrix(self.n, self.zz, float, "zz"))
         f = tuple(float(x) for x in (self.fields or (0.0,) * self.n))
         if len(f) != self.n:
             raise InvalidSizeError(f"fields must have length n={self.n}, got {len(f)}")
+        if not all(map(math.isfinite, f)):
+            raise InvalidSizeError("fields must be finite")
         object.__setattr__(self, "fields", f)
 
-    def coupling(self, i: int, j: int) -> complex:
-        """<i|H|j> for single-excitation states (0 if the pair is absent)."""
-        if i < j:
-            return self.couplings.get((i, j), 0.0 + 0.0j)
-        return np.conj(self.couplings.get((j, i), 0.0 + 0.0j))
-
-    def zz_coeff(self, i: int, j: int) -> float:
-        return self.zz.get((min(i, j), max(i, j)), 0.0)
-
     def to_json_dict(self) -> dict:
+        def pairs(m):
+            return zip(*(a.tolist() for a in _upper_pairs(m)))
         return {
             "n": self.n,
-            "couplings": [[i, j, v.real, v.imag] for (i, j), v in sorted(self.couplings.items())],
-            "zz": [[i, j, u] for (i, j), u in sorted(self.zz.items())],
+            "couplings": [[i + 1, j + 1, v.real, v.imag] for i, j, v in pairs(self.couplings)],
+            "zz": [[i + 1, j + 1, u] for i, j, u in pairs(self.zz)],
             "fields": list(self.fields),
         }
 
@@ -129,18 +175,20 @@ class SectorMatrix:
     vacuum_phase_rate: float = 0.0
 
     def __post_init__(self):
-        m = np.array(self.entries, dtype=complex)
+        m = _read_only(self.entries, complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise BasisError(f"entries must be square, got shape {m.shape}")
-        scale = max(1.0, float(np.abs(m).max()) if m.size else 1.0)
-        herm = float(np.abs(m - m.conj().T).max()) if m.size else 0.0
-        if herm > HERMITICITY_TOL * scale:
-            raise HermiticityError(f"matrix not Hermitian: max deviation {herm:.3e}")
+        if not (np.isfinite(m).all() and math.isfinite(self.vacuum_phase_rate)):
+            raise InvalidSizeError("sector entries and vacuum phase rate must be finite")
+        if not _exactly_hermitian(m):
+            scale = max(1.0, float(np.abs(m).max()))
+            herm = float(np.abs(m - m.conj().T).max())
+            if herm > HERMITICITY_TOL * scale:
+                raise HermiticityError(f"matrix not Hermitian: max deviation {herm:.3e}")
         if self.basis_tag == EFFECTIVE3 and m.shape[0] != 3:
             raise BasisError(f"effective3 sector must be 3x3, got {m.shape[0]}")
         if self.basis_tag == FULL_SPACE and m.shape[0] & (m.shape[0] - 1):
             raise BasisError(f"full-space dimension must be a power of 2, got {m.shape[0]}")
-        m.flags.writeable = False
         object.__setattr__(self, "entries", m)
         object.__setattr__(self, "vacuum_phase_rate", float(self.vacuum_phase_rate))
 
@@ -155,8 +203,10 @@ def build_h_opt(n: int, j0: float) -> SpinModel:
     All pairs carry J_ij = j0 and the source/target qubits see a field
     B = -(n/2) j0.  Transfers |1> -> |N> perfectly at T = pi/(j0 sqrt(2n)).
     """
-    _require_transfer_size(n, j0)
-    couplings = {(i, j): complex(j0) for i in range(1, n + 1) for j in range(i + 1, n + 1)}
+    require_transfer_size(n, j0)
+    couplings = np.full((n, n), complex(j0))
+    np.fill_diagonal(couplings, 0.0)
+    couplings.flags.writeable = False
     fields = [0.0] * n
     fields[0] = fields[n - 1] = -(n / 2.0) * j0
     return SpinModel(n=n, couplings=couplings, fields=tuple(fields))
@@ -170,11 +220,11 @@ def build_h_opt_prime(n: int, j0: float) -> SpinModel:
     and applies B = -(3/2) j0 on qubits 1 and N only.  Reduces to the same
     effective 3-level matrix as ``build_h_opt``.
     """
-    _require_transfer_size(n, j0)
-    couplings: dict[Pair, complex] = {(1, n): complex(j0)}
-    for k in range(2, n):
-        couplings[(1, k)] = complex(j0)
-        couplings[(k, n)] = complex(j0)
+    require_transfer_size(n, j0)
+    couplings = np.zeros((n, n), dtype=complex)
+    couplings[[0, n - 1], :] = couplings[:, [0, n - 1]] = complex(j0)
+    couplings[[0, n - 1], [0, n - 1]] = 0.0
+    couplings.flags.writeable = False
     fields = [0.0] * n
     fields[0] = fields[n - 1] = -1.5 * j0
     return SpinModel(n=n, couplings=couplings, fields=tuple(fields))
@@ -192,31 +242,6 @@ def hamiltonian_builder(name: str):
     return builder
 
 
-def _require_transfer_size(n: int, j0: float) -> None:
-    if n < 3:
-        raise InvalidSizeError(
-            f"transfer construction needs n >= 3 (an intermediate qubit), got n={n}")
-    if not j0 > 0:
-        raise InvalidSizeError(f"j0 must be positive, got {j0}")
-
-
-def _pair_sites(pairs: Mapping[Pair, object]) -> np.ndarray:
-    """0-based sites i0, j0, i1, j1, ... of the pair keys, in dictionary order."""
-    sites = np.fromiter(itertools.chain.from_iterable(pairs), dtype=np.intp,
-                        count=2 * len(pairs))
-    sites -= 1
-    return sites
-
-
-def _scatter_couplings(h: np.ndarray, couplings: Mapping[Pair, complex]) -> None:
-    """h[i-1, j-1] = J_ij and h[j-1, i-1] = conj(J_ij) for every pair."""
-    sites = _pair_sites(couplings)
-    rows, cols = sites[0::2], sites[1::2]
-    vals = np.fromiter(couplings.values(), dtype=complex, count=len(couplings))
-    h[rows, cols] = vals
-    h[cols, rows] = vals.conj()
-
-
 def project_single_excitation(model: SpinModel) -> SectorMatrix:
     """N x N matrix of the Hamiltonian over states |i> = "only qubit i is |1>".
 
@@ -225,19 +250,20 @@ def project_single_excitation(model: SpinModel) -> SectorMatrix:
 
         E_vac   = sum_j B_j + sum_{i<j} U_ij
         E_i     = E_vac - 2 B_i - 2 sum_{j != i} U_ij
+
+    Both ZZ sums add one pair at a time in row-major pair order (cumsum and
+    bincount accumulate sequentially).
     """
     n = model.n
-    h = np.zeros((n, n), dtype=complex)
-    _scatter_couplings(h, model.couplings)
-    vac = float(sum(model.fields)) + float(sum(model.zz.values()))
-    # per-site ZZ sums accumulate in pair order (bincount adds sequentially)
-    zz_sites = _pair_sites(model.zz)
-    zz_vals = np.repeat(np.fromiter(model.zz.values(), dtype=float, count=len(model.zz)), 2)
-    zz_sum = np.bincount(zz_sites, weights=zz_vals, minlength=n)
+    rows, cols, u = _upper_pairs(model.zz)
+    vac = float(sum(model.fields)) + (float(np.cumsum(u)[-1]) if u.size else 0.0)
     diag = np.full(n, vac)
     diag -= 2.0 * np.array(model.fields)
-    diag -= 2.0 * zz_sum
-    h += np.diag(diag)
+    diag -= 2.0 * np.bincount(np.column_stack((rows, cols)).ravel(),
+                              weights=np.repeat(u, 2), minlength=n)
+    h = model.couplings.copy()
+    h[np.diag_indices(n)] = diag
+    h.flags.writeable = False
     return SectorMatrix(basis_tag=SINGLE_EXCITATION, entries=h, vacuum_phase_rate=vac)
 
 
@@ -251,19 +277,19 @@ def project_full_space(model: SpinModel) -> SectorMatrix:
     idx = np.arange(dim)
     h = np.zeros((dim, dim), dtype=complex)
 
-    # z_q(s) = +1 when bit (q-1) of s is 0, else -1
+    # z_q(s) = +1 when bit q of s is 0, else -1 (q counts qubits from 0 here)
     def zsign(q: int) -> np.ndarray:
-        return 1.0 - 2.0 * ((idx >> (q - 1)) & 1)
+        return 1.0 - 2.0 * ((idx >> q) & 1)
 
     diag = np.zeros(dim)
-    for q in range(1, n + 1):
-        diag += model.fields[q - 1] * zsign(q)
-    for (i, j), u in model.zz.items():
+    for q in range(n):
+        diag += model.fields[q] * zsign(q)
+    for i, j, u in zip(*_upper_pairs(model.zz)):
         diag += u * zsign(i) * zsign(j)
     h[idx, idx] = diag
 
-    for (i, j), v in model.couplings.items():
-        bi, bj = 1 << (i - 1), 1 << (j - 1)
+    for i, j, v in zip(*_upper_pairs(model.couplings)):
+        bi, bj = 1 << i, 1 << j
         # J_ij s+_i s-_j maps states with qubit j excited, i not, onto i excited
         src = idx[((idx & bj) != 0) & ((idx & bi) == 0)]
         dst = src ^ bi ^ bj
@@ -274,11 +300,10 @@ def project_full_space(model: SpinModel) -> SectorMatrix:
 
 def check_coupling_bounds(model: SpinModel, j0: float) -> ConstraintReport:
     """Report every pair with |J_ij| > j0 and the largest ratio |J_ij|/j0."""
-    violations = []
-    max_ratio = 0.0
-    for (i, j), v in sorted(model.couplings.items()):
-        mag = abs(v)
-        max_ratio = max(max_ratio, mag / j0)
-        if mag > j0 * (1.0 + 1e-15):
-            violations.append(Violation(label=f"J_{i},{j}", value=mag, bound=j0))
-    return ConstraintReport(violations=tuple(violations), max_ratio=max_ratio)
+    require_positive_j0(j0)
+    rows, cols = np.triu_indices(model.n, 1)
+    mags = np.abs(model.couplings[rows, cols])
+    bad = np.flatnonzero(mags > j0 * (1.0 + 1e-15))
+    violations = tuple(Violation(label=f"J_{rows[k] + 1},{cols[k] + 1}",
+                                 value=float(mags[k]), bound=j0) for k in bad)
+    return ConstraintReport(violations=violations, max_ratio=float((mags / j0).max()))

@@ -27,14 +27,21 @@ def op_on(n, ops_by_qubit):
     return out
 
 
+def pairs_of(matrix):
+    """((i, j), matrix[i-1, j-1]) for every 1-based pair i < j, row major."""
+    n = len(matrix)
+    return [((i, j), matrix[i - 1][j - 1])
+            for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+
+
 def full_hamiltonian(model):
     """2^N matrix of a SpinModel assembled term by term from Paulis."""
     n = model.n
     h = np.zeros((2 ** n, 2 ** n), dtype=complex)
-    for (i, j), v in model.couplings.items():
+    for (i, j), v in pairs_of(model.couplings):
         h += v * op_on(n, {i: SPLUS, j: SMINUS})
         h += np.conj(v) * op_on(n, {i: SMINUS, j: SPLUS})
-    for (i, j), u in model.zz.items():
+    for (i, j), u in pairs_of(model.zz):
         h += u * op_on(n, {i: SZ, j: SZ})
     for q in range(1, n + 1):
         h += model.fields[q - 1] * op_on(n, {q: SZ})
@@ -87,25 +94,105 @@ def sequential_product(us):
 
 
 def single_excitation_loop(model):
+    """Single-excitation matrix and vacuum energy of a SpinModel, pair by pair."""
+    return sector_from_pairs(model.n, pairs_of(model.couplings), pairs_of(model.zz),
+                             model.fields)
+
+
+def sector_from_pairs(n, coupling_items, zz_items, fields):
     """Single-excitation matrix and vacuum energy, one pair at a time.
 
-    The pair-by-pair construction the vectorized projection replaced.  Its
-    per-site ZZ sums add the pairs one by one in dictionary order, as the
-    builtin ``sum`` did before Python 3.12 made float sums compensated.
+    The pair-by-pair construction the vectorized projection replaced.  Both
+    ZZ sums add the pairs one by one in the order given, as the builtin
+    ``sum`` did before Python 3.12 made float sums compensated.
     """
-    n = model.n
+    coupling_items, zz_items = list(coupling_items), list(zz_items)
     h = np.zeros((n, n), dtype=complex)
-    for (i, j), v in model.couplings.items():
+    for (i, j), v in coupling_items:
         h[i - 1, j - 1] = v
         h[j - 1, i - 1] = np.conj(v)
-    vac = float(sum(model.fields)) + float(sum(model.zz.values()))
+    zz_total = 0.0
+    for _, u in zz_items:
+        zz_total += u
+    vac = float(sum(fields)) + float(zz_total)
     diag = np.full(n, vac)
     for i in range(1, n + 1):
-        diag[i - 1] -= 2.0 * model.fields[i - 1]
+        diag[i - 1] -= 2.0 * fields[i - 1]
         zz_sum = 0.0
-        for (a, b), u in model.zz.items():
+        for (a, b), u in zz_items:
             if i in (a, b):
                 zz_sum += u
         diag[i - 1] -= 2.0 * zz_sum
     h += np.diag(diag)
     return h, vac
+
+
+def h_opt_pairs(n, j0):
+    """Pair dict and fields of the uniform all-to-all optimal Hamiltonian."""
+    couplings = {(i, j): complex(j0) for i in range(1, n + 1) for j in range(i + 1, n + 1)}
+    fields = [0.0] * n
+    fields[0] = fields[n - 1] = -(n / 2.0) * j0
+    return couplings, tuple(fields)
+
+
+def h_opt_prime_pairs(n, j0):
+    """Pair dict and fields of the star-coupled optimal Hamiltonian."""
+    couplings = {(1, n): complex(j0)}
+    for k in range(2, n):
+        couplings[(1, k)] = complex(j0)
+        couplings[(k, n)] = complex(j0)
+    fields = [0.0] * n
+    fields[0] = fields[n - 1] = -1.5 * j0
+    return couplings, tuple(fields)
+
+
+def full_space_from_pairs(n, coupling_items, zz_items, fields):
+    """2^N matrix by index arithmetic, one pair at a time (bit q-1 is qubit q)."""
+    dim = 1 << n
+    idx = np.arange(dim)
+    h = np.zeros((dim, dim), dtype=complex)
+
+    def zsign(q):
+        return 1.0 - 2.0 * ((idx >> (q - 1)) & 1)
+
+    diag = np.zeros(dim)
+    for q in range(1, n + 1):
+        diag += fields[q - 1] * zsign(q)
+    for (i, j), u in zz_items:
+        diag += u * zsign(i) * zsign(j)
+    h[idx, idx] = diag
+    for (i, j), v in coupling_items:
+        bi, bj = 1 << (i - 1), 1 << (j - 1)
+        src = idx[((idx & bj) != 0) & ((idx & bi) == 0)]
+        dst = src ^ bi ^ bj
+        h[dst, src] += v
+        h[src, dst] += np.conj(v)
+    return h, float(diag[0])
+
+
+def coupling_bounds_loop(couplings, j0):
+    """(label, |J|) of each pair above j0, in sorted order, and max |J|/j0."""
+    violations = []
+    max_ratio = 0.0
+    for (i, j), v in sorted(couplings.items()):
+        mag = abs(v)
+        max_ratio = max(max_ratio, mag / j0)
+        if mag > j0 * (1.0 + 1e-15):
+            violations.append((f"J_{i},{j}", mag))
+    return violations, max_ratio
+
+
+def reduction_from_pairs(n, couplings, fields):
+    """(j1a, jan, j1n, d1, da, dn, frame_shift) of a symmetric pair-dict model."""
+    def coupling(i, j):
+        return couplings.get((i, j), 0j) if i < j else np.conj(couplings.get((j, i), 0j))
+
+    h, _ = sector_from_pairs(n, couplings.items(), (), fields)
+    m = n - 2
+    w = np.zeros(n)
+    w[1:n - 1] = 1.0 / np.sqrt(m)
+    d1 = float(h[0, 0].real)
+    da = float((w @ h @ w).real)
+    dn = float(h[n - 1, n - 1].real)
+    return (np.sqrt(m) * coupling(1, 2), np.sqrt(m) * coupling(2, n), coupling(1, n),
+            d1 - dn, da - dn, 0.0, dn)

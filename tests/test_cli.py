@@ -101,6 +101,18 @@ def test_qb_check_unsupported_case(capsys):
     assert "stationary" in err
 
 
+@pytest.mark.parametrize("argv,name", [
+    (("case-table", "--n", "4", "--j0", "inf"), "j0"),
+    (("qb-check", "--case", "8", "--n", "4", "--j0", "inf"), "j0"),
+    (("case-table", "--n", "4", "--j1n-bar", "nan"), "j1n_bar"),
+    (("qb-check", "--case", "7", "--n", "4", "--j1n-bar", "nan"), "j1n_bar"),
+])
+def test_catalog_commands_reject_non_finite_arguments(capsys, argv, name):
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert f"{name} must be finite" in err
+
+
 def test_noise_zero_sigma_zero_mean(tmp_path, capsys):
     out = tmp_path / "noise.csv"
     code, _, _ = run_cli(capsys, "noise", "--n", "8", "--sigma-c", "0",

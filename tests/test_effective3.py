@@ -92,9 +92,9 @@ def test_reduction_rejects_complex_intermediate_couplings():
 def test_reduction_scales_collective_couplings():
     eff = reduce_to_effective(_symmetric_model(6, 3))
     m = _symmetric_model(6, 3)
-    assert abs(eff.j1a - 2.0 * m.coupling(1, 2)) < 1e-12  # sqrt(6-2) = 2
-    assert abs(eff.jan - 2.0 * m.coupling(2, 6)) < 1e-12
-    assert abs(eff.j1n - m.coupling(1, 6)) < 1e-12
+    assert abs(eff.j1a - 2.0 * m.couplings[0, 1]) < 1e-12  # sqrt(6-2) = 2
+    assert abs(eff.jan - 2.0 * m.couplings[1, 5]) < 1e-12
+    assert abs(eff.j1n - m.couplings[0, 5]) < 1e-12
 
 
 @pytest.mark.parametrize("n", [3, 5, 8])

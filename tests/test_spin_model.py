@@ -9,30 +9,51 @@ from fcqst import (
     check_coupling_bounds,
     project_full_space,
     project_single_excitation,
+    reduce_to_effective,
 )
-from fcqst.exceptions import HermiticityError, InvalidSizeError, SizeLimitError
+from fcqst.exceptions import FcqstError, HermiticityError, InvalidSizeError, SizeLimitError
 from fcqst.spin_model import FULL_SPACE, SINGLE_EXCITATION
 
 from oracles import (
+    coupling_bounds_loop,
     excitation_number,
     full_hamiltonian,
+    full_space_from_pairs,
+    h_opt_pairs,
+    h_opt_prime_pairs,
+    pairs_of,
+    reduction_from_pairs,
+    sector_from_pairs,
     single_excitation_basis,
     single_excitation_loop,
 )
+
+DICT_ORACLES = [(build_h_opt, h_opt_pairs), (build_h_opt_prime, h_opt_prime_pairs)]
+
+
+def upper_pairs(model):
+    """1-based pairs i < j with a nonzero coupling, in sorted order."""
+    return [pair for pair, v in pairs_of(model.couplings) if v != 0]
+
+
+def upper_values(model):
+    return [v for _, v in pairs_of(model.couplings)]
 
 
 def test_build_h_opt_n4():
     m = build_h_opt(4, 1.0)
     assert m.fields == (-2.0, 0.0, 0.0, -2.0)
-    assert len(m.couplings) == 6
-    assert all(v == 1.0 for v in m.couplings.values())
+    assert len(upper_pairs(m)) == 6
+    assert all(v == 1.0 for v in upper_values(m))
+    assert np.array_equal(m.couplings, m.couplings.conj().T)
+    assert np.all(np.diagonal(m.couplings) == 0)
 
 
 def test_build_h_opt_n3_j2():
     m = build_h_opt(3, 2.0)
     assert m.fields == (-3.0, 0.0, -3.0)
-    assert sorted(m.couplings) == [(1, 2), (1, 3), (2, 3)]
-    assert all(v == 2.0 for v in m.couplings.values())
+    assert upper_pairs(m) == [(1, 2), (1, 3), (2, 3)]
+    assert all(v == 2.0 for v in upper_values(m))
 
 
 def test_build_h_opt_too_small():
@@ -46,21 +67,22 @@ def test_build_h_opt_too_small():
 
 def test_build_h_opt_prime_n4():
     m = build_h_opt_prime(4, 1.0)
-    assert (2, 3) not in m.couplings
-    for pair in [(1, 2), (1, 3), (2, 4), (3, 4), (1, 4)]:
-        assert m.couplings[pair] == 1.0
+    assert (2, 3) not in upper_pairs(m)
+    assert len(upper_pairs(m)) == 5
+    for i, j in [(1, 2), (1, 3), (2, 4), (3, 4), (1, 4)]:
+        assert m.couplings[i - 1, j - 1] == m.couplings[j - 1, i - 1] == 1.0
     assert m.fields == (-1.5, 0.0, 0.0, -1.5)
 
 
 def test_build_h_opt_prime_n5_intermediates_uncoupled():
     m = build_h_opt_prime(5, 1.0)
-    for pair in [(2, 3), (2, 4), (3, 4)]:
-        assert m.coupling(*pair) == 0.0
+    for i, j in [(2, 3), (2, 4), (3, 4)]:
+        assert m.couplings[i - 1, j - 1] == m.couplings[j - 1, i - 1] == 0.0
 
 
 def test_builders_coincide_at_n3():
     a, b = build_h_opt(3, 1.0), build_h_opt_prime(3, 1.0)
-    assert a.couplings == b.couplings
+    assert np.array_equal(a.couplings, b.couplings)
     assert a.fields == b.fields == (-1.5, 0.0, -1.5)
 
 
@@ -69,7 +91,7 @@ def test_scale_covariance():
         base = build_h_opt(6, 1.0)
         scaled = build_h_opt(6, c)
         assert scaled.fields == tuple(c * f for f in base.fields)
-        assert all(scaled.couplings[p] == c * base.couplings[p] for p in base.couplings)
+        assert np.array_equal(scaled.couplings, c * base.couplings)
 
 
 def test_permutation_symmetry_of_builders():
@@ -80,7 +102,7 @@ def test_permutation_symmetry_of_builders():
         def p(q):
             return perm.get(q, q)
 
-        couplings = {(p(i), p(j)): v for (i, j), v in model.couplings.items()}
+        couplings = {(p(i), p(j)): v for (i, j), v in pairs_of(model.couplings) if v != 0}
         fields = list(model.fields)
         fields[a - 1], fields[b - 1] = fields[b - 1], fields[a - 1]
         return SpinModel(n=model.n, couplings=couplings, fields=tuple(fields))
@@ -89,7 +111,7 @@ def test_permutation_symmetry_of_builders():
         m = builder(6, 1.0)
         for a, b in [(2, 3), (3, 5), (2, 5)]:
             s = swap(m, a, b)
-            assert s.couplings == m.couplings
+            assert np.array_equal(s.couplings, m.couplings)
             assert s.fields == m.fields
 
 
@@ -220,8 +242,9 @@ def test_sector_matrices_are_hermitian_and_immutable():
 
 def test_coupling_key_normalization():
     m = SpinModel(n=3, couplings={(2, 1): 1.0 + 0.5j})
-    assert m.couplings == {(1, 2): 1.0 - 0.5j}
-    assert m.coupling(2, 1) == 1.0 + 0.5j
+    assert upper_pairs(m) == [(1, 2)]
+    assert m.couplings[0, 1] == 1.0 - 0.5j
+    assert m.couplings[1, 0] == 1.0 + 0.5j
     with pytest.raises(InvalidSizeError):
         SpinModel(n=3, couplings={(1, 2): 1.0, (2, 1): 1.0})
     with pytest.raises(InvalidSizeError):
@@ -241,7 +264,9 @@ def test_json_round_trip():
     assert doc["couplings"] == [[1, 2, 0.5, -0.25], [3, 4, 1.0, 0.0]]
     assert doc["zz"] == [[2, 3, 0.75]]
     back = SpinModel.from_json_dict(doc)
-    assert back == model
+    assert back.n == model.n and back.fields == model.fields
+    assert np.array_equal(back.couplings, model.couplings)
+    assert np.array_equal(back.zz, model.zz)
 
 
 def test_full_space_matches_pauli_oracle_with_zz():
@@ -261,3 +286,72 @@ def test_vacuum_phase_rate_tracks_all_zero_energy():
     assert abs(full.entries[0, 0].real - full.vacuum_phase_rate) == 0.0
     sector = project_single_excitation(model)
     assert sector.vacuum_phase_rate == full.vacuum_phase_rate
+
+
+def test_array_input_validation():
+    dict_model = SpinModel(n=3, couplings={(1, 2): 0.5 - 0.25j, (3, 2): 2.0j},
+                           zz={(3, 1): 0.75})
+    array_model = SpinModel(n=3, couplings=dict_model.couplings, zz=dict_model.zz)
+    assert np.array_equal(array_model.couplings, dict_model.couplings)
+    assert np.array_equal(array_model.zz, dict_model.zz)
+    assert dict_model.couplings[2, 1] == 2.0j and dict_model.couplings[1, 2] == -2.0j
+    assert dict_model.zz[0, 2] == dict_model.zz[2, 0] == 0.75
+    for matrix in (dict_model.couplings, dict_model.zz):
+        with pytest.raises(ValueError):
+            matrix[0, 1] = 9.0
+    hermitian = np.array([[0, 1j, 0], [-1j, 0, 0], [0, 0, 0]])
+    with pytest.raises(InvalidSizeError):
+        SpinModel(n=4, couplings=hermitian)                    # wrong shape
+    with pytest.raises(InvalidSizeError):
+        SpinModel(n=3, couplings=hermitian + np.eye(3))        # nonzero diagonal
+    with pytest.raises(InvalidSizeError):
+        SpinModel(n=3, couplings=hermitian + np.triu(np.ones((3, 3)), 1))  # not Hermitian
+    with pytest.raises(InvalidSizeError):
+        SpinModel(n=3, zz=np.triu(np.ones((3, 3)), 1))         # not symmetric
+
+
+def test_rejects_non_finite_model_data():
+    cases = [
+        lambda: SpinModel(n=3, couplings={(1, 2): float("nan")}),
+        lambda: SpinModel(n=3, couplings=np.where(np.eye(3) == 1, 0.0, np.inf)),
+        lambda: SpinModel(n=3, zz={(2, 3): float("inf")}),
+        lambda: SpinModel(n=3, fields=(0.0, float("nan"), 0.0)),
+        lambda: SectorMatrix(basis_tag=SINGLE_EXCITATION,
+                             entries=np.array([[0.0, np.nan], [np.nan, 0.0]])),
+        lambda: SectorMatrix(basis_tag=SINGLE_EXCITATION, entries=np.eye(2),
+                             vacuum_phase_rate=float("inf")),
+    ]
+    for case in cases:
+        with pytest.raises(FcqstError):
+            case()
+
+
+@pytest.mark.parametrize("builder,oracle", DICT_ORACLES)
+def test_builders_match_dict_oracle(builder, oracle):
+    # the array builders reproduce the pair-dict construction bit for bit
+    for n in [*range(3, 13), 500]:
+        couplings, fields = oracle(n, 0.7)
+        model = builder(n, 0.7)
+        assert model.fields == fields
+        sector = project_single_excitation(model)
+        entries, vac = sector_from_pairs(n, couplings.items(), (), fields)
+        assert np.array_equal(sector.entries, entries)
+        assert sector.vacuum_phase_rate == vac
+        eff = reduce_to_effective(model)
+        assert (eff.j1a, eff.jan, eff.j1n, eff.d1, eff.da, eff.dn, eff.frame_shift) \
+            == reduction_from_pairs(n, couplings, fields)
+        for j0 in (0.7, 0.5) if n <= 12 else (0.7,):
+            report = check_coupling_bounds(model, j0)
+            violations, max_ratio = coupling_bounds_loop(couplings, j0)
+            assert [(v.label, v.value) for v in report.violations] == violations
+            assert report.max_ratio == max_ratio
+
+
+@pytest.mark.parametrize("builder,oracle", DICT_ORACLES)
+def test_full_space_matches_dict_oracle(builder, oracle):
+    for n in range(3, 11):
+        couplings, fields = oracle(n, 0.7)
+        full = project_full_space(builder(n, 0.7))
+        entries, vac = full_space_from_pairs(n, couplings.items(), (), fields)
+        assert np.array_equal(full.entries, entries)
+        assert full.vacuum_phase_rate == vac
