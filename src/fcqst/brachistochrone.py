@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .effective3 import Effective3
+from .effective3 import Effective3, coupling_bounds, effective_matrices
 from .exceptions import BoundViolationError, GridMismatchError, InvalidSizeError, UnsupportedCaseError
 from .spin_model import require_transfer_size
 
@@ -98,11 +98,8 @@ def _case(case_id: int) -> CaseSpec:
 def build_F(m: QBMultipliers, h: Effective3) -> np.ndarray:
     """Multiplier operator: diagonal from lam1/lam2, couplings scaled by
     their multipliers.  Traceless by construction."""
-    return np.array([
-        [m.lam1 + m.lam2, m.lam1a * h.j1a, m.lam1n * h.j1n],
-        [m.lam1a * np.conj(h.j1a), -2.0 * m.lam2, m.laman * h.jan],
-        [m.lam1n * np.conj(h.j1n), m.laman * np.conj(h.jan), -m.lam1 + m.lam2],
-    ], dtype=complex)
+    return effective_matrices(m.lam1a * h.j1a, m.laman * h.jan, m.lam1n * h.j1n,
+                              m.lam1 + m.lam2, -2.0 * m.lam2, -m.lam1 + m.lam2)
 
 
 @dataclass(frozen=True)
@@ -116,50 +113,48 @@ class ResidualReport:
 
     @property
     def max_residual(self) -> float:
-        return max(self.qb_equation, self.normalization,
-                   self.constraint, self.complementarity)
+        return float(np.max([self.qb_equation, self.normalization,
+                             self.constraint, self.complementarity]))
 
 
 def qb_residuals(segments, m_traj, n: int, j0: float) -> ResidualReport:
     """Evaluate the stationarity residuals on a piecewise-constant schedule.
 
-    ``segments`` is a sequence of (duration, Effective3) and ``m_traj`` one
-    QBMultipliers per segment.  dF/dt uses centered differences between
-    neighboring segment midpoints (one-sided at the ends; zero for a single
-    segment), so a constant trajectory has exactly zero time-derivative and
-    the first residual reduces to max |[F, H]|.
+    ``segments`` is a nonempty sequence of (duration, Effective3) with finite
+    positive durations and ``m_traj`` one QBMultipliers per segment.  dF/dt
+    uses centered differences between neighboring segment midpoints
+    (one-sided at the ends; zero for a single segment), so a constant
+    trajectory has exactly zero time-derivative and the first residual
+    reduces to max |[F, H]|.
     """
     segments = list(segments)
     m_traj = list(m_traj)
     if len(segments) != len(m_traj):
         raise GridMismatchError(
             f"{len(m_traj)} multiplier points for {len(segments)} segments")
-    k = len(segments)
-    mats = [h.matrix() for _, h in segments]
-    fs = [build_F(m, h) for m, (_, h) in zip(m_traj, segments)]
-    tmid = np.cumsum([dt for dt, _ in segments]) - 0.5 * np.array([dt for dt, _ in segments])
+    if not segments:
+        raise GridMismatchError("the residual grid needs at least one segment")
+    dts = np.array([dt for dt, _ in segments], dtype=float)
+    if not np.all(np.isfinite(dts) & (dts > 0)):
+        raise GridMismatchError("grid durations must be finite and positive")
+    bounds2 = np.square(coupling_bounds(n, j0))
+    fields = np.array([(h.j1a, h.jan, h.j1n, h.d1, h.da, h.dn) for _, h in segments],
+                      dtype=complex)
+    mults = np.array([(m.lam1, m.lam2, m.lam1a, m.laman, m.lam1n, m.s1a, m.san, m.s1n)
+                      for m in m_traj], dtype=float)
+    couplings, lam1, lam2 = fields[:, :3], mults[:, 0], mults[:, 1]
+    lams, slacks = mults[:, 2:5], mults[:, 5:]
+    h = effective_matrices(*fields.T)
+    f = effective_matrices(*(lams * couplings).T, lam1 + lam2, -2.0 * lam2, -lam1 + lam2)
 
-    bound_a2 = (n - 2) * j0 * j0
-    bound_n2 = j0 * j0
-    r_qb = r_norm = r_cons = r_comp = 0.0
-    for i in range(k):
-        h, f, m = mats[i], fs[i], m_traj[i]
-        if k == 1:
-            dfdt = np.zeros_like(f)
-        else:
-            lo, hi = max(i - 1, 0), min(i + 1, k - 1)
-            dfdt = (fs[hi] - fs[lo]) / (tmid[hi] - tmid[lo])
-        r_qb = max(r_qb, float(np.abs(1j * dfdt - (f @ h - h @ f)).max()))
-        r_norm = max(r_norm, abs(float(np.trace(f @ h).real) - 1.0))
-        eff = segments[i][1]
-        r_cons = max(
-            r_cons,
-            abs(abs(eff.j1a) ** 2 + m.s1a ** 2 - bound_a2),
-            abs(abs(eff.jan) ** 2 + m.san ** 2 - bound_a2),
-            abs(abs(eff.j1n) ** 2 + m.s1n ** 2 - bound_n2),
-        )
-        r_comp = max(r_comp, abs(m.lam1a * m.s1a), abs(m.laman * m.san),
-                     abs(m.lam1n * m.s1n))
+    k = len(segments)
+    tmid = np.cumsum(dts) - 0.5 * dts
+    lo, hi = np.maximum(np.arange(k) - 1, 0), np.minimum(np.arange(k) + 1, k - 1)
+    dfdt = (f[hi] - f[lo]) / (tmid[hi] - tmid[lo])[:, None, None] if k > 1 else np.zeros_like(f)
+    r_qb = np.abs(1j * dfdt - (f @ h - h @ f)).max()
+    r_norm = np.abs(np.einsum("kij,kji->k", f, h).real - 1.0).max()
+    r_cons = np.abs(np.abs(couplings) ** 2 + slacks ** 2 - bounds2).max()
+    r_comp = np.abs(lams * slacks).max()
     return ResidualReport(qb_equation=float(r_qb), normalization=float(r_norm),
                           constraint=float(r_cons), complementarity=float(r_comp))
 
@@ -217,8 +212,7 @@ def case_stationary_solution(case_id: int, n: int, j0: float,
     Supports the three solvable cases; the Hamiltonian lives in the
     zero-diagonal, constant-phase verification frame.
     """
-    require_transfer_size(n, j0)
-    a = np.sqrt(n - 2) * j0
+    a, _, _ = coupling_bounds(n, j0)
     if case_id == 6:
         h = Effective3(j1a=0.0, jan=0.0, j1n=j0 * np.exp(-1j * phi_1n))
         m = QBMultipliers(lam1n=1.0 / (2.0 * j0 * j0), s1a=a, san=a)
@@ -256,7 +250,7 @@ def case_hamiltonian(case_id: int, n: int, j0: float, *, phi_1n: float = 0.0,
     minimal-time value 4 |j1n_bar|).  Case 8 is the saturated family form
     with corner diagonals 3 sign j0 and relative coupling sign ``sign``.
     """
-    a = np.sqrt(n - 2) * j0
+    a, _, _ = coupling_bounds(n, j0)
     if case_id == 6:
         return Effective3(j1a=0.0, jan=0.0, j1n=j0 * np.exp(-1j * phi_1n))
     if case_id == 7:
@@ -272,18 +266,20 @@ def case_hamiltonian(case_id: int, n: int, j0: float, *, phi_1n: float = 0.0,
     raise UnsupportedCaseError(f"no closed-form Hamiltonian for case {case_id}")
 
 
-def _family_unitary(n: int, j0: float, cdiag: float, corner: float, sign: int,
-                    t: float) -> np.ndarray:
-    """Exact propagator of [[cdiag, a, corner], [a, 0, s a], [corner, s a, cdiag]].
+def _family_unitary(h: Effective3, t: float) -> np.ndarray:
+    """Exact propagator of a case 7/8 Hamiltonian [[c, a, b], [a, 0, s a], [b, s a, c]].
 
-    The vector (1, 0, -s)/sqrt(2) decouples with eigenvalue cdiag - s*corner;
-    the rest is a two-level block with corner energy e = cdiag + s*corner and
-    splitting omega = sqrt(e^2 + 8 (n-2) j0^2).
+    Reads the real coupling a = j1a > 0, the sign s = jan / a, the corner
+    b = j1n and the corner diagonal c = d1 = dn from ``h``.  The vector
+    (1, 0, -s)/sqrt(2) decouples with eigenvalue c - s b; the rest is a
+    two-level block with corner energy e = c + s b and splitting
+    omega = sqrt(e^2 + 8 a^2).
     """
-    a = np.sqrt(n - 2) * j0
+    a, corner, cdiag = h.j1a.real, h.j1n.real, h.d1
+    sign = 1 if h.jan == h.j1a else -1
     e_dec = cdiag - sign * corner
     e_blk = cdiag + sign * corner
-    omega = np.sqrt(e_blk * e_blk + 8.0 * (n - 2) * j0 * j0)
+    omega = np.sqrt(e_blk * e_blk + 8.0 * a * a)
     half = 0.5 * omega * t
     blk_phase = np.exp(-0.5j * e_blk * t)
     u_bb = blk_phase * (np.cos(half) - 1j * (e_blk / omega) * np.sin(half))
@@ -312,20 +308,16 @@ def case_unitary(case_id: int, n: int, j0: float, t: float, *,
     3 sign j0; perfect transfer at t = pi/(j0 sqrt(2 n)).
     """
     if case_id == 6:
+        require_transfer_size(n, j0)
         ct, st = np.cos(j0 * t), np.sin(j0 * t)
         return np.array([
             [ct, 0.0, -1j * np.exp(-1j * phi_1n) * st],
             [0.0, 1.0, 0.0],
             [-1j * np.exp(1j * phi_1n) * st, 0.0, ct],
         ], dtype=complex)
-    if case_id == 7:
-        h = case_hamiltonian(7, n, j0, c1a=c1a, j1n_bar=j1n_bar)
-        m = abs(h.j1n)
-        return _family_unitary(n, j0, h.d1, m, 1, t)
-    if case_id == 8:
-        if sign not in (1, -1):
-            raise UnsupportedCaseError(f"sign branch must be +1 or -1, got {sign}")
-        return _family_unitary(n, j0, 3.0 * sign * j0, j0, sign, t)
+    if case_id in (7, 8):
+        h = case_hamiltonian(case_id, n, j0, c1a=c1a, j1n_bar=j1n_bar, sign=sign)
+        return _family_unitary(h, t)
     raise UnsupportedCaseError(f"no closed-form unitary for case {case_id}")
 
 

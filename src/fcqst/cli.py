@@ -19,7 +19,7 @@ import numpy as np
 
 from . import __version__, brachistochrone, noise_mc, svgchart
 from .effective3 import boundary_form_check, reduce_to_effective
-from .exceptions import FcqstError, UnsupportedCaseError
+from .exceptions import FcqstError, GridMismatchError, UnsupportedCaseError
 from .propagator import evolve_constant, minimum_transfer_time, transfer_fidelity
 from .spin_model import SINGLE_EXCITATION, hamiltonian_builder, project_single_excitation
 from .speed_search import min_time_bisection
@@ -110,6 +110,8 @@ def cmd_case_table(args, argv) -> int:
 
 
 def cmd_qb_check(args, argv) -> int:
+    if args.grid < 1:
+        raise GridMismatchError(f"--grid must be a positive segment count, got {args.grid}")
     try:
         h, mult = brachistochrone.case_stationary_solution(
             args.case, args.n, args.j0, j1n_bar=args.j1n_bar)

@@ -49,11 +49,7 @@ class Effective3:
     frame_shift: float = 0.0
 
     def matrix(self) -> np.ndarray:
-        return np.array([
-            [self.d1, self.j1a, self.j1n],
-            [np.conj(self.j1a), self.da, self.jan],
-            [np.conj(self.j1n), np.conj(self.jan), self.dn],
-        ], dtype=complex)
+        return effective_matrices(self.j1a, self.jan, self.j1n, self.d1, self.da, self.dn)
 
     def sector_matrix(self) -> SectorMatrix:
         return SectorMatrix(basis_tag=EFFECTIVE3, entries=self.matrix(),
@@ -73,6 +69,27 @@ class Effective3:
             j1a=complex(*doc["j1a"]), jan=complex(*doc["jan"]), j1n=complex(*doc["j1n"]),
             d1=float(doc["d1"]), da=float(doc["da"]), dn=float(doc["dn"]),
         )
+
+
+def effective_matrices(j1a, jan, j1n, d1, da, dn) -> np.ndarray:
+    """(..., 3, 3) Hamiltonians [[d1, j1a, j1n], [j1a*, da, jan], [j1n*, jan*, dn]].
+
+    The six arguments broadcast against each other; scalars give one 3x3 matrix.
+    """
+    shape = np.broadcast_shapes(*map(np.shape, (j1a, jan, j1n, d1, da, dn)))
+    mats = np.zeros(shape + (3, 3), dtype=complex)
+    mats[..., 0, 0], mats[..., 1, 1], mats[..., 2, 2] = d1, da, dn
+    mats[..., 0, 1], mats[..., 1, 0] = j1a, np.conj(j1a)
+    mats[..., 1, 2], mats[..., 2, 1] = jan, np.conj(jan)
+    mats[..., 0, 2], mats[..., 2, 0] = j1n, np.conj(j1n)
+    return mats
+
+
+def coupling_bounds(n: int, j0: float) -> tuple[float, float, float]:
+    """Amplitude bounds on (|j1a|, |jan|, |j1n|): sqrt(n-2) j0, sqrt(n-2) j0, j0."""
+    require_transfer_size(n, j0)
+    collective = float(np.sqrt(n - 2) * j0)
+    return collective, collective, float(j0)
 
 
 def _uniform_value(matrix: np.ndarray, rows: np.ndarray, cols: np.ndarray,
@@ -173,11 +190,8 @@ def accumulated_diagonal_phase(segments) -> np.ndarray:
 
 def check_effective_bounds(h: Effective3, n: int, j0: float) -> ConstraintReport:
     """Check |j1a|, |jan| <= sqrt(n-2) j0 and |j1n| <= j0 (diagonals free)."""
-    require_transfer_size(n, j0)
-    collective = np.sqrt(n - 2) * j0
-    checks = [("j1a", abs(h.j1a), collective),
-              ("jan", abs(h.jan), collective),
-              ("j1n", abs(h.j1n), j0)]
+    checks = zip(("j1a", "jan", "j1n"), (abs(h.j1a), abs(h.jan), abs(h.j1n)),
+                 coupling_bounds(n, j0))
     violations = []
     max_ratio = 0.0
     for label, mag, bound in checks:

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .effective3 import Effective3
+from .effective3 import coupling_bounds, effective_matrices
 from .exceptions import InvalidSizeError
 from .propagator import (
     ControlSchedule,
@@ -41,7 +41,7 @@ from .propagator import (
     segment_propagators,
 )
 from .rng import KeyedStream
-from .spin_model import EFFECTIVE3, SectorMatrix, require_positive_j0
+from .spin_model import EFFECTIVE3, SectorMatrix, require_positive_j0, require_transfer_size
 
 FULL_PARAMS_PER_SEGMENT = 9       # Re/Im of three couplings + three diagonals
 REAL_PARAMS_PER_SEGMENT = 6       # three real couplings + three diagonals
@@ -73,7 +73,10 @@ class PulseParams:
         for name, arr in (("j1a", self.j1a), ("jan", self.jan), ("j1n", self.j1n)):
             object.__setattr__(self, name, np.asarray(arr, dtype=complex))
         for name in ("d1", "da", "dn"):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
+            arr = np.asarray(getattr(self, name))
+            if not (np.isrealobj(arr) and np.isfinite(arr).all()):
+                raise InvalidSizeError(f"diagonal {name} must be real and finite")
+            object.__setattr__(self, name, np.asarray(arr, dtype=float))
 
     @property
     def n_segments(self) -> int:
@@ -81,17 +84,10 @@ class PulseParams:
 
     @property
     def bounds(self) -> tuple[float, float, float]:
-        b = np.sqrt(self.n - 2) * self.j0
-        return (b, b, self.j0)
-
-    def segments(self) -> list[tuple[float, Effective3]]:
-        dt = self.total_time / self.n_segments
-        return [(dt, Effective3(j1a=self.j1a[k], jan=self.jan[k], j1n=self.j1n[k],
-                                d1=self.d1[k], da=self.da[k], dn=self.dn[k]))
-                for k in range(self.n_segments)]
+        return coupling_bounds(self.n, self.j0)
 
     def matrices(self) -> np.ndarray:
-        return _effective_matrices(self.j1a, self.jan, self.j1n, self.d1, self.da, self.dn)
+        return effective_matrices(self.j1a, self.jan, self.j1n, self.d1, self.da, self.dn)
 
     def bound_report(self) -> dict[str, float]:
         ba, _, bn = self.bounds
@@ -107,16 +103,6 @@ class SearchResult:
     evaluations: int
     seed: int
     restarts_hit_bound: int = 0
-
-
-def _effective_matrices(j1a, jan, j1n, d1, da, dn) -> np.ndarray:
-    """(..., 3, 3) Hamiltonians from (...)-shaped couplings and diagonals."""
-    mats = np.zeros(j1a.shape + (3, 3), dtype=complex)
-    mats[..., 0, 0], mats[..., 1, 1], mats[..., 2, 2] = d1, da, dn
-    mats[..., 0, 1], mats[..., 1, 0] = j1a, j1a.conj()
-    mats[..., 1, 2], mats[..., 2, 1] = jan, jan.conj()
-    mats[..., 0, 2], mats[..., 2, 0] = j1n, j1n.conj()
-    return mats
 
 
 def _project_disc(values: np.ndarray, bound: float) -> np.ndarray:
@@ -149,8 +135,8 @@ class _Problem:
         self.total_time = total_time
         self.k = n_segments
         self.controls = controls
-        self.b_coll = np.sqrt(n - 2) * j0
-        self.coupling_bounds = (self.b_coll, self.b_coll, j0)  # j1a, jan, j1n
+        self.bounds = coupling_bounds(n, j0)  # j1a, jan, j1n
+        self.b_coll = self.bounds[0]
         self.per_seg = PARAMS_PER_SEGMENT[controls]
         self.dim = self.per_seg * n_segments
         self.durations = np.full(n_segments, total_time / n_segments)
@@ -162,10 +148,10 @@ class _Problem:
             v[..., 0] = np.clip(v[..., 0], -self.b_coll, self.b_coll)
             v[..., 1] = np.clip(v[..., 1], -self.j0, self.j0)
         elif self.controls == "real":
-            for col, bound in enumerate(self.coupling_bounds):
+            for col, bound in enumerate(self.bounds):
                 v[..., col] = np.clip(v[..., col], -bound, bound)
         else:
-            for col, bound in zip((0, 2, 4), self.coupling_bounds):
+            for col, bound in zip((0, 2, 4), self.bounds):
                 jc = _project_disc(v[..., col] + 1j * v[..., col + 1], bound)
                 v[..., col], v[..., col + 1] = jc.real, jc.imag
         return v.reshape(x.shape)
@@ -190,7 +176,7 @@ class _Problem:
 
     def matrices(self, xs: np.ndarray) -> np.ndarray:
         """(..., K, 3, 3) Hamiltonian stacks for a (..., dim) batch of vectors."""
-        return _effective_matrices(*self.expand(xs))
+        return effective_matrices(*self.expand(xs))
 
     def fidelity_batch(self, xs: np.ndarray) -> np.ndarray:
         """|<phi_3|U(T)|phi_1>| for each vector of a (C, dim) batch."""
@@ -213,11 +199,11 @@ class _Problem:
             v[:, 1] = (2 * u[:, 1] - 1) * self.j0
             v[:, 2] = (2 * u[:, 2] - 1) * 4 * self.j0
         elif self.controls == "real":
-            for col, bound in enumerate(self.coupling_bounds):
+            for col, bound in enumerate(self.bounds):
                 v[:, col] = (2 * u[:, col] - 1) * bound
             v[:, 3:6] = (2 * u[:, 3:6] - 1) * 4 * self.j0
         else:
-            for col, bound in ((0, self.b_coll), (2, self.b_coll), (4, self.j0)):
+            for col, bound in zip((0, 2, 4), self.bounds):
                 mag = bound * np.sqrt(u[:, col])
                 ang = 2 * np.pi * u[:, col + 1]
                 v[:, col] = mag * np.cos(ang)
@@ -294,9 +280,9 @@ def optimize_pulse(n: int, j0: float, total_time: float, n_segments: int,
     pi); ``real_symmetric`` the narrower j1a = jan, d1 = dn = 0 class.  At
     most one of the two may be set.
     """
-    if n < 3 or n_segments < 1 or restarts < 1:
-        raise InvalidSizeError("need n >= 3, n_segments >= 1, restarts >= 1")
-    require_positive_j0(j0)
+    require_transfer_size(n, j0)
+    if n_segments < 1 or restarts < 1:
+        raise InvalidSizeError("need n_segments >= 1, restarts >= 1")
     if not (math.isfinite(total_time) and total_time >= 0):
         raise InvalidSizeError(f"total_time must be finite and nonnegative, got {total_time}")
     problem = _Problem(n, j0, total_time, n_segments,
@@ -327,9 +313,9 @@ def optimize_pulse(n: int, j0: float, total_time: float, n_segments: int,
 
 def pulse_to_schedule(pulse: PulseParams) -> ControlSchedule:
     """ControlSchedule view of a pulse, for independent fidelity recomputation."""
+    dt = pulse.total_time / pulse.n_segments
     return ControlSchedule(segments=tuple(
-        (dt, SectorMatrix(basis_tag=EFFECTIVE3, entries=h.matrix()))
-        for dt, h in pulse.segments()))
+        (dt, SectorMatrix(basis_tag=EFFECTIVE3, entries=h)) for h in pulse.matrices()))
 
 
 @dataclass(frozen=True)

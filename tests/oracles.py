@@ -196,3 +196,55 @@ def reduction_from_pairs(n, couplings, fields):
     dn = float(h[n - 1, n - 1].real)
     return (np.sqrt(m) * coupling(1, 2), np.sqrt(m) * coupling(2, n), coupling(1, n),
             d1 - dn, da - dn, 0.0, dn)
+
+
+def effective3_literal(j1a, jan, j1n, d1, da, dn):
+    """The 3-level Hamiltonian written out entry by entry."""
+    return np.array([
+        [d1, j1a, j1n],
+        [np.conj(j1a), da, jan],
+        [np.conj(j1n), np.conj(jan), dn],
+    ], dtype=complex)
+
+
+def multiplier_literal(m, j1a, jan, j1n):
+    """The multiplier operator F of QBMultipliers m, written out entry by entry."""
+    return np.array([
+        [m.lam1 + m.lam2, m.lam1a * j1a, m.lam1n * j1n],
+        [m.lam1a * np.conj(j1a), -2.0 * m.lam2, m.laman * jan],
+        [m.lam1n * np.conj(j1n), m.laman * np.conj(jan), -m.lam1 + m.lam2],
+    ], dtype=complex)
+
+
+def qb_residuals_loop(segments, m_traj, n, j0):
+    """(qb_equation, normalization, constraint, complementarity), segment by segment.
+
+    The per-segment loop the stacked evaluation replaced: centered
+    differences of F between neighboring midpoints (one-sided at the ends,
+    zero for one segment) and running maxima of the four residuals.
+    """
+    segments, m_traj = list(segments), list(m_traj)
+    k = len(segments)
+    mats = [effective3_literal(h.j1a, h.jan, h.j1n, h.d1, h.da, h.dn) for _, h in segments]
+    fs = [multiplier_literal(m, h.j1a, h.jan, h.j1n) for m, (_, h) in zip(m_traj, segments)]
+    dts = np.array([dt for dt, _ in segments])
+    tmid = np.cumsum(dts) - 0.5 * dts
+    bound_a2 = (n - 2) * j0 * j0
+    bound_n2 = j0 * j0
+    r_qb = r_norm = r_cons = r_comp = 0.0
+    for i in range(k):
+        h, f, m, eff = mats[i], fs[i], m_traj[i], segments[i][1]
+        if k == 1:
+            dfdt = np.zeros_like(f)
+        else:
+            lo, hi = max(i - 1, 0), min(i + 1, k - 1)
+            dfdt = (fs[hi] - fs[lo]) / (tmid[hi] - tmid[lo])
+        r_qb = max(r_qb, float(np.abs(1j * dfdt - (f @ h - h @ f)).max()))
+        r_norm = max(r_norm, abs(float(np.trace(f @ h).real) - 1.0))
+        r_cons = max(r_cons,
+                     abs(abs(eff.j1a) ** 2 + m.s1a ** 2 - bound_a2),
+                     abs(abs(eff.jan) ** 2 + m.san ** 2 - bound_a2),
+                     abs(abs(eff.j1n) ** 2 + m.s1n ** 2 - bound_n2))
+        r_comp = max(r_comp, abs(m.lam1a * m.s1a), abs(m.laman * m.san),
+                     abs(m.lam1n * m.s1n))
+    return r_qb, r_norm, r_cons, r_comp

@@ -24,7 +24,6 @@ import pytest
 from fcqst import (
     NoiseConfig,
     build_h_opt,
-    build_h_opt_prime,
     case_hamiltonian,
     case_minimum_time,
     case_stationary_solution,
@@ -42,11 +41,9 @@ from fcqst import (
     reduce_to_effective,
     run_mc,
 )
-from fcqst.spin_model import EFFECTIVE3, SINGLE_EXCITATION
+from fcqst.spin_model import EFFECTIVE3, HAMILTONIANS, SINGLE_EXCITATION
 from fcqst.propagator import evolve_schedule, transfer_fidelity
 from fcqst.speed_search import PulseParams, pulse_to_schedule
-
-BUILDERS = {"opt": build_h_opt, "opt_prime": build_h_opt_prime}
 
 
 def _report(num, passed, detail, elapsed):
@@ -59,7 +56,7 @@ def test_criterion_01_perfect_transfer_at_optimal_time():
     worst = 1.0
     for n in (3, 4, 8, 16, 50, 100):
         t = minimum_transfer_time(n, 1.0)
-        for builder in BUILDERS.values():
+        for builder in HAMILTONIANS.values():
             u = evolve_constant(project_single_excitation(builder(n, 1.0)), t)
             worst = min(worst, transfer_fidelity(u, SINGLE_EXCITATION))
     elapsed = time.perf_counter() - start
@@ -74,7 +71,7 @@ def test_criterion_02_suboptimal_time_sharp_window():
     best = 0.0
     for n in (3, 4, 8, 16, 50, 100):
         t = 0.95 * minimum_transfer_time(n, 1.0)
-        for builder in BUILDERS.values():
+        for builder in HAMILTONIANS.values():
             u = evolve_constant(project_single_excitation(builder(n, 1.0)), t)
             best = max(best, transfer_fidelity(u, SINGLE_EXCITATION))
     elapsed = time.perf_counter() - start
@@ -176,7 +173,7 @@ def test_criterion_06_sector_equivalence_oracle():
     worst = 0.0
     for n in range(3, 9):
         t = minimum_transfer_time(n, 1.0) * 0.77  # mid-transfer, amplitudes generic
-        for builder in BUILDERS.values():
+        for builder in HAMILTONIANS.values():
             model = builder(n, 1.0)
             u_full = evolve_constant(project_full_space(model), t)
             u_sect = evolve_constant(project_single_excitation(model), t)

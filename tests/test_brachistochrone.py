@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,7 @@ from fcqst import (
 )
 from fcqst.effective3 import boundary_form_check
 from fcqst.exceptions import BoundViolationError, GridMismatchError, InvalidSizeError, UnsupportedCaseError
+from oracles import effective3_literal, multiplier_literal, qb_residuals_loop
 
 
 def _verification_h(n, j0=1.0, corner=None):
@@ -154,6 +157,105 @@ def test_qb_residuals_grid_mismatch():
     h = _verification_h(4)
     with pytest.raises(GridMismatchError):
         qb_residuals([(0.5, h)] * 3, [QBMultipliers()] * 2, 4, 1.0)
+
+
+def test_qb_residuals_rejects_empty_and_bad_grids():
+    h, m = case_stationary_solution(8, 4, 1.0)
+    with pytest.raises(GridMismatchError, match="segment"):
+        qb_residuals([], [], 4, 1.0)
+    for dt in (0.0, -0.1, np.nan, np.inf):
+        with pytest.raises(GridMismatchError, match="durations"):
+            qb_residuals([(0.1, h), (dt, h)], [m, m], 4, 1.0)
+
+
+def test_qb_residuals_propagate_nan():
+    h, m = case_stationary_solution(8, 4, 1.0)
+    bad_slack = dataclasses.replace(m, s1a=np.nan)
+    report = qb_residuals([(0.1, h)] * 3, [m, bad_slack, m], 4, 1.0)
+    assert np.isnan(report.constraint) and np.isnan(report.complementarity)
+    assert report.qb_equation <= 1e-15
+    assert np.isnan(report.max_residual)
+
+
+BAD_J0 = (np.nan, np.inf, -1.0, 0.0)
+
+
+@pytest.mark.parametrize("j0", BAD_J0)
+def test_catalog_rejects_invalid_j0(j0):
+    h, m = case_stationary_solution(8, 5, 1.0)
+    with pytest.raises(InvalidSizeError, match="j0"):
+        qb_residuals([(0.1, h)] * 3, [m] * 3, 5, j0)
+    for case_id, kwargs in ((6, {}), (7, {"j1n_bar": 0.0}), (8, {})):
+        with pytest.raises(InvalidSizeError, match="j0"):
+            case_hamiltonian(case_id, 5, j0, **kwargs)
+        with pytest.raises(InvalidSizeError, match="j0"):
+            case_unitary(case_id, 5, j0, 0.5, **kwargs)
+        with pytest.raises(InvalidSizeError, match="j0"):
+            case_stationary_solution(case_id, 5, j0, **kwargs)
+
+
+def test_catalog_rejects_two_qubits():
+    h, m = case_stationary_solution(8, 5, 1.0)
+    with pytest.raises(InvalidSizeError, match="n >= 3"):
+        qb_residuals([(0.1, h)] * 3, [m] * 3, 2, 1.0)
+    for case_id, kwargs in ((6, {}), (7, {"j1n_bar": 0.5}), (8, {})):
+        with pytest.raises(InvalidSizeError, match="n >= 3"):
+            case_hamiltonian(case_id, 2, 1.0, **kwargs)
+        with pytest.raises(InvalidSizeError, match="n >= 3"):
+            case_unitary(case_id, 2, 1.0, 0.5, **kwargs)
+
+
+def test_matrices_equal_the_literals():
+    gen = np.random.default_rng(11)
+    for _ in range(50):
+        j1a, jan, j1n = gen.normal(size=3) + 1j * gen.normal(size=3)
+        d1, da, dn = gen.normal(size=3)
+        h = Effective3(j1a=j1a, jan=jan, j1n=j1n, d1=d1, da=da, dn=dn)
+        assert np.array_equal(h.matrix(), effective3_literal(j1a, jan, j1n, d1, da, dn))
+        m = QBMultipliers(*gen.normal(size=5), *np.abs(gen.normal(size=3)))
+        assert np.array_equal(build_F(m, h), multiplier_literal(m, j1a, jan, j1n))
+
+
+def _random_trajectory(gen, k, n, uniform):
+    a = np.sqrt(n - 2)
+    dts = np.full(k, 0.7 / k) if uniform else gen.uniform(0.01, 0.2, size=k)
+    segments, mults = [], []
+    for dt in dts:
+        j = gen.normal(scale=[a, a, 1.0], size=3) + 1j * gen.normal(scale=[a, a, 1.0], size=3)
+        segments.append((dt, Effective3(j1a=j[0], jan=j[1], j1n=j[2],
+                                        d1=gen.normal(), da=gen.normal(), dn=gen.normal())))
+        mults.append(QBMultipliers(*gen.normal(size=5), *np.abs(gen.normal(size=3))))
+    return segments, mults
+
+
+def _assert_matches_loop(segments, mults, n, j0):
+    report = qb_residuals(segments, mults, n, j0)
+    got = (report.qb_equation, report.normalization, report.constraint,
+           report.complementarity)
+    for r, r_loop in zip(got, qb_residuals_loop(segments, mults, n, j0)):
+        assert abs(r - r_loop) <= 1e-14 * max(1.0, abs(r_loop))
+
+
+@pytest.mark.parametrize("k", [1, 2, 7, 1000])
+@pytest.mark.parametrize("uniform", [True, False])
+def test_qb_residuals_match_loop_oracle_on_random_trajectories(k, uniform):
+    gen = np.random.default_rng(k + 7 * uniform)
+    n = 6
+    segments, mults = _random_trajectory(gen, k, n, uniform)
+    _assert_matches_loop(segments, mults, n, 1.3)
+
+
+@pytest.mark.parametrize("n", [4, 16])
+def test_qb_residuals_match_loop_oracle_on_case8_grids(n):
+    h, m = case_stationary_solution(8, n, 1.0)
+    grid = 1000
+    dt = case_minimum_time(8, n, 1.0) / grid
+    _assert_matches_loop([(dt, h)] * grid, [m] * grid, n, 1.0)
+    # the five 1 % perturbations of acceptance criterion 5
+    for name in ("lam1", "lam2", "lam1a", "laman", "lam1n"):
+        value = getattr(m, name)
+        bumped = dataclasses.replace(m, **{name: value * 1.01 if value else 0.01 * m.lam1a})
+        _assert_matches_loop([(dt, h)] * grid, [bumped] * grid, n, 1.0)
 
 
 def test_case_minimum_time_catalog():

@@ -101,6 +101,14 @@ def test_qb_check_unsupported_case(capsys):
     assert "stationary" in err
 
 
+@pytest.mark.parametrize("grid", ["-5", "0"])
+def test_qb_check_rejects_non_positive_grid(capsys, grid):
+    code, out, err = run_cli(capsys, "qb-check", "--case", "8", "--n", "4", "--grid", grid)
+    assert code == 2
+    assert out == ""
+    assert f"--grid must be a positive segment count, got {grid}" in err
+
+
 @pytest.mark.parametrize("argv,name", [
     (("case-table", "--n", "4", "--j0", "inf"), "j0"),
     (("qb-check", "--case", "8", "--n", "4", "--j0", "inf"), "j0"),

@@ -15,7 +15,8 @@ from fcqst import (
     reduce_to_effective,
     to_interaction_picture,
 )
-from fcqst.effective3 import accumulated_diagonal_phase, transfer_form_unitary
+from fcqst.effective3 import (accumulated_diagonal_phase, coupling_bounds, effective_matrices,
+                              transfer_form_unitary)
 from fcqst.exceptions import InvalidSizeError, SymmetryError, UnitarityError
 from fcqst.propagator import ControlSchedule
 
@@ -193,6 +194,30 @@ def test_check_effective_bounds():
     # diagonals are unconstrained
     spiky = Effective3(j1a=0, jan=0, j1n=0, d1=1e6, da=-1e6, dn=3.0)
     assert check_effective_bounds(spiky, n, 1.0).ok
+
+
+def test_coupling_bounds():
+    assert coupling_bounds(6, 2.0) == (4.0, 4.0, 2.0)
+    assert coupling_bounds(3, 1.5) == (1.5, 1.5, 1.5)
+    with pytest.raises(InvalidSizeError, match="n >= 3"):
+        coupling_bounds(2, 1.0)
+    for j0 in (np.nan, np.inf, -1.0, 0.0):
+        with pytest.raises(InvalidSizeError, match="j0"):
+            coupling_bounds(5, j0)
+
+
+def test_effective_matrices_broadcast():
+    gen = np.random.default_rng(5)
+    j1a, jan = gen.normal(size=(2, 4, 7)) + 1j * gen.normal(size=(2, 4, 7))
+    d1 = gen.normal(size=7)
+    mats = effective_matrices(j1a, jan, 0.5j, d1, 0.0, -1.0)
+    assert mats.shape == (4, 7, 3, 3)
+    assert np.array_equal(mats, mats.conj().swapaxes(-1, -2))
+    for i in range(4):
+        for k in range(7):
+            h = Effective3(j1a=j1a[i, k], jan=jan[i, k], j1n=0.5j, d1=d1[k], da=0.0, dn=-1.0)
+            assert np.array_equal(mats[i, k], h.matrix())
+    assert effective_matrices(1.0, 2.0, 3.0, 0.0, 0.0, 0.0).shape == (3, 3)
 
 
 def test_boundary_form_check_identity_invalid():

@@ -3,7 +3,7 @@ import pytest
 
 from fcqst import min_time_bisection, minimum_transfer_time, optimize_pulse, transfer_fidelity
 from fcqst.exceptions import InvalidSizeError
-from fcqst.speed_search import _Problem, pulse_to_schedule
+from fcqst.speed_search import PulseParams, _Problem, pulse_to_schedule
 from fcqst.propagator import evolve_schedule
 from fcqst.spin_model import EFFECTIVE3
 
@@ -110,6 +110,15 @@ def test_invalid_arguments():
     for total_time in (np.nan, np.inf):
         with pytest.raises(InvalidSizeError, match="total_time"):
             optimize_pulse(4, 1.0, total_time, 4, 1, seed=0)
+
+
+def test_pulse_rejects_non_real_or_non_finite_diagonals():
+    base = dict(n=3, j0=1.0, total_time=1.0, j1a=[1.0], jan=[1.0], j1n=[0.5],
+                d1=[0.0], da=[0.0], dn=[0.0])
+    for name in ("d1", "da", "dn"):
+        for bad in (np.array([1 + 1j]), [np.nan], [np.inf]):
+            with pytest.raises(InvalidSizeError, match=name):
+                PulseParams(**{**base, name: bad})
 
 
 def test_bisection_rejects_invalid_coupling_scale():
