@@ -21,7 +21,8 @@ from . import __version__, brachistochrone, noise_mc, svgchart
 from .effective3 import boundary_form_check, reduce_to_effective
 from .exceptions import FcqstError, GridMismatchError, UnsupportedCaseError
 from .propagator import evolve_constant, minimum_transfer_time, transfer_fidelity
-from .spin_model import SINGLE_EXCITATION, hamiltonian_builder, project_single_excitation
+from .spin_model import (HAMILTONIANS, SINGLE_EXCITATION, hamiltonian_builder,
+                         project_single_excitation)
 from .speed_search import min_time_bisection
 
 EXIT_PASS = 0
@@ -29,7 +30,8 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_UNSUPPORTED = 3
 
-HAMILTONIAN_CHOICES = ["opt", "opt-prime", "opt_prime"]  # both spellings name one entry
+# both spellings of each registry key; hamiltonian_builder reads "-" as "_"
+HAMILTONIAN_CHOICES = sorted({s for key in HAMILTONIANS for s in (key, key.replace("_", "-"))})
 VERIFY_THRESHOLD = 1.0 - 1e-9
 QB_RESIDUAL_THRESHOLD = 1e-8
 

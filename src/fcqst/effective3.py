@@ -16,6 +16,7 @@ bounds, and recognizes the end-of-transfer unitary pattern
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,6 +48,11 @@ class Effective3:
     da: float = 0.0
     dn: float = 0.0
     frame_shift: float = 0.0
+
+    def __post_init__(self):
+        for name in ("j1a", "jan", "j1n", "d1", "da", "dn", "frame_shift"):
+            if not cmath.isfinite(getattr(self, name)):
+                raise InvalidSizeError(f"{name} must be finite, got {getattr(self, name)}")
 
     def matrix(self) -> np.ndarray:
         return effective_matrices(self.j1a, self.jan, self.j1n, self.d1, self.da, self.dn)

@@ -101,17 +101,14 @@ class KeyedStream:
     def from_seed(cls, seed: int, *indices: int) -> "KeyedStream":
         return cls(derive_key(seed, *indices))
 
-    def substream(self, index: int) -> "KeyedStream":
-        return KeyedStream(derive_key(self.key, index))
-
     def normal(self, size: int = 1) -> np.ndarray:
         out = normals(self.key, self._normal_pos, size)
         self._normal_pos += size
         return out
 
     def uniform(self, size: int = 1) -> np.ndarray:
-        # uniform and normal positions are tracked separately; streams used
-        # for both kinds of draws should be split into substreams instead.
+        # uniform and normal positions are tracked separately; draw the two
+        # kinds from streams with different keys (see from_seed's indices).
         out = uniforms(self.key, (1 << 32) + self._uniform_pos, size)
         self._uniform_pos += size
         return out

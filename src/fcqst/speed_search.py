@@ -12,12 +12,14 @@ available.  ``real_couplings`` restricts the couplings to real values of
 either sign with free real diagonals (real XY couplings plus free
 single-qubit fields): the time-reversal symmetric class, whose loop flux is
 0 or pi.  ``real_symmetric`` narrows that further to j1a = jan with
-d1 = dn = 0.  Which subclass the paper's bound pi/(j0 sqrt(2 n)) refers to
-is not settled by its abstract; this package reads it as the real-coupling
-class.  The complex class cannot be meant: at n = 3 the constant chiral
-triangle (flux -pi/2) transfers perfectly at 2 pi / (3 sqrt(3) j0), 0.9428
-of the reference, whereas on the real-coupling class the search finds no
-protocol faster than the reference.
+d1 = dn = 0.  Each class is one row of ``CONTROL_CLASSES``, its parameter
+layout, which projection, expansion and random starts all walk.  Which
+subclass the paper's bound pi/(j0 sqrt(2 n)) refers to is not settled by
+its abstract; this package reads it as the real-coupling class.  The
+complex class cannot be meant: at n = 3 the constant chiral triangle
+(flux -pi/2) transfers perfectly at 2 pi / (3 sqrt(3) j0), 0.9428 of the
+reference, whereas on the real-coupling class the search finds no protocol
+faster than the reference.
 
 Method: multi-start projected gradient ascent with central-difference
 gradients and a backtracking line search, falling back to a shrinking
@@ -43,12 +45,15 @@ from .propagator import (
 from .rng import KeyedStream
 from .spin_model import EFFECTIVE3, SectorMatrix, require_positive_j0, require_transfer_size
 
-FULL_PARAMS_PER_SEGMENT = 9       # Re/Im of three couplings + three diagonals
-REAL_PARAMS_PER_SEGMENT = 6       # three real couplings + three diagonals
-REAL_SYM_PARAMS_PER_SEGMENT = 3   # j1a = jan real, j1n real, da
-PARAMS_PER_SEGMENT = {"complex": FULL_PARAMS_PER_SEGMENT,
-                      "real": REAL_PARAMS_PER_SEGMENT,
-                      "real_symmetric": REAL_SYM_PARAMS_PER_SEGMENT}
+# Per-segment parameter layout of each control class.  A row is
+# (couplings, diagonals): the columns (re, im) of j1a, jan and j1n, with im
+# None for a real coupling, and the columns of d1, da and dn, with None for a
+# diagonal held at 0.  Couplings that name one column share it.
+CONTROL_CLASSES = {
+    "complex": (((0, 1), (2, 3), (4, 5)), (6, 7, 8)),
+    "real": (((0, None), (1, None), (2, None)), (3, 4, 5)),
+    "real_symmetric": (((0, None), (0, None), (1, None)), (None, 2, None)),
+}
 
 
 @dataclass(frozen=True)
@@ -126,8 +131,8 @@ def _controls(real_symmetric: bool, real_couplings: bool) -> str:
 class _Problem:
     """Vectorized fidelity of the parameter vector, with bound projection.
 
-    ``controls`` names the searched class: ``"complex"``, ``"real"`` or
-    ``"real_symmetric"`` (see the module docstring).
+    ``controls`` names the searched class, a key of ``CONTROL_CLASSES``
+    (see the module docstring).
     """
 
     def __init__(self, n, j0, total_time, n_segments, controls):
@@ -135,25 +140,22 @@ class _Problem:
         self.total_time = total_time
         self.k = n_segments
         self.controls = controls
+        self.couplings, self.diagonals = CONTROL_CLASSES[controls]
         self.bounds = coupling_bounds(n, j0)  # j1a, jan, j1n
-        self.b_coll = self.bounds[0]
-        self.per_seg = PARAMS_PER_SEGMENT[controls]
+        columns = [c for pair in self.couplings for c in pair] + list(self.diagonals)
+        self.per_seg = 1 + max(c for c in columns if c is not None)
         self.dim = self.per_seg * n_segments
         self.durations = np.full(n_segments, total_time / n_segments)
 
     def project(self, x: np.ndarray) -> np.ndarray:
         """Clip a (..., dim) batch of parameter vectors into the bounds."""
         v = x.reshape(x.shape[:-1] + (self.k, self.per_seg)).copy()
-        if self.controls == "real_symmetric":
-            v[..., 0] = np.clip(v[..., 0], -self.b_coll, self.b_coll)
-            v[..., 1] = np.clip(v[..., 1], -self.j0, self.j0)
-        elif self.controls == "real":
-            for col, bound in enumerate(self.bounds):
-                v[..., col] = np.clip(v[..., col], -bound, bound)
-        else:
-            for col, bound in zip((0, 2, 4), self.bounds):
-                jc = _project_disc(v[..., col] + 1j * v[..., col + 1], bound)
-                v[..., col], v[..., col + 1] = jc.real, jc.imag
+        for (re, im), bound in zip(self.couplings, self.bounds):
+            if im is None:
+                v[..., re] = np.clip(v[..., re], -bound, bound)
+            else:
+                jc = _project_disc(v[..., re] + 1j * v[..., im], bound)
+                v[..., re], v[..., im] = jc.real, jc.imag
         return v.reshape(x.shape)
 
     def expand(self, xs: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -163,16 +165,10 @@ class _Problem:
         vector nor each other.
         """
         v = xs.reshape(xs.shape[:-1] + (self.k, self.per_seg))
-        if self.controls == "real_symmetric":
-            ja = v[..., 0].astype(complex)
-            zeros = np.zeros(ja.shape)
-            return (ja, ja.copy(), v[..., 1].astype(complex),
-                    zeros, v[..., 2].copy(), zeros.copy())
-        if self.controls == "real":
-            return (*(v[..., col].astype(complex) for col in range(3)),
-                    *(v[..., col].copy() for col in range(3, 6)))
-        return (*(v[..., col] + 1j * v[..., col + 1] for col in (0, 2, 4)),
-                *(v[..., col].copy() for col in range(6, 9)))
+        return (*(v[..., re].astype(complex) if im is None else v[..., re] + 1j * v[..., im]
+                  for re, im in self.couplings),
+                *(np.zeros(v.shape[:-1]) if col is None else v[..., col].copy()
+                  for col in self.diagonals))
 
     def matrices(self, xs: np.ndarray) -> np.ndarray:
         """(..., K, 3, 3) Hamiltonian stacks for a (..., dim) batch of vectors."""
@@ -194,21 +190,17 @@ class _Problem:
         rows = 1 if constant else self.k
         u = stream.uniform(rows * self.per_seg).reshape(rows, self.per_seg)
         v = np.zeros((rows, self.per_seg))
-        if self.controls == "real_symmetric":
-            v[:, 0] = (2 * u[:, 0] - 1) * self.b_coll
-            v[:, 1] = (2 * u[:, 1] - 1) * self.j0
-            v[:, 2] = (2 * u[:, 2] - 1) * 4 * self.j0
-        elif self.controls == "real":
-            for col, bound in enumerate(self.bounds):
-                v[:, col] = (2 * u[:, col] - 1) * bound
-            v[:, 3:6] = (2 * u[:, 3:6] - 1) * 4 * self.j0
-        else:
-            for col, bound in zip((0, 2, 4), self.bounds):
-                mag = bound * np.sqrt(u[:, col])
-                ang = 2 * np.pi * u[:, col + 1]
-                v[:, col] = mag * np.cos(ang)
-                v[:, col + 1] = mag * np.sin(ang)
-            v[:, 6:9] = (2 * u[:, 6:9] - 1) * 4 * self.j0
+        for (re, im), bound in zip(self.couplings, self.bounds):
+            if im is None:
+                v[:, re] = (2 * u[:, re] - 1) * bound
+            else:
+                mag = bound * np.sqrt(u[:, re])
+                ang = 2 * np.pi * u[:, im]
+                v[:, re] = mag * np.cos(ang)
+                v[:, im] = mag * np.sin(ang)
+        for col in self.diagonals:
+            if col is not None:
+                v[:, col] = (2 * u[:, col] - 1) * 4 * self.j0
         if constant:
             v = np.repeat(v, self.k, axis=0)
         return v.reshape(-1)

@@ -248,3 +248,74 @@ def qb_residuals_loop(segments, m_traj, n, j0):
         r_comp = max(r_comp, abs(m.lam1a * m.s1a), abs(m.laman * m.san),
                      abs(m.lam1n * m.s1n))
     return r_qb, r_norm, r_cons, r_comp
+
+
+# The pulse search's parameter layout, one branch per control class: complex
+# couplings take (Re, Im) column pairs, "real" one column per coupling and
+# "real_symmetric" the columns (j1a = jan, j1n, da).
+
+def _disc(values, bound):
+    mags = np.abs(values)
+    over = mags > bound
+    out = values.copy()
+    out[over] *= bound / mags[over]
+    return out
+
+
+def project_by_class(problem, x):
+    """Clip a (..., dim) batch into the bounds of ``problem.controls``."""
+    k, per_seg, bounds, j0 = problem.k, problem.per_seg, problem.bounds, problem.j0
+    v = x.reshape(x.shape[:-1] + (k, per_seg)).copy()
+    if problem.controls == "real_symmetric":
+        v[..., 0] = np.clip(v[..., 0], -bounds[0], bounds[0])
+        v[..., 1] = np.clip(v[..., 1], -j0, j0)
+    elif problem.controls == "real":
+        for col, bound in enumerate(bounds):
+            v[..., col] = np.clip(v[..., col], -bound, bound)
+    else:
+        for col, bound in zip((0, 2, 4), bounds):
+            jc = _disc(v[..., col] + 1j * v[..., col + 1], bound)
+            v[..., col], v[..., col + 1] = jc.real, jc.imag
+    return v.reshape(x.shape)
+
+
+def expand_by_class(problem, xs):
+    """(j1a, jan, j1n, d1, da, dn), each (..., K), of a (..., dim) batch."""
+    v = xs.reshape(xs.shape[:-1] + (problem.k, problem.per_seg))
+    if problem.controls == "real_symmetric":
+        ja = v[..., 0].astype(complex)
+        zeros = np.zeros(ja.shape)
+        return (ja, ja.copy(), v[..., 1].astype(complex),
+                zeros, v[..., 2].copy(), zeros.copy())
+    if problem.controls == "real":
+        return (*(v[..., col].astype(complex) for col in range(3)),
+                *(v[..., col].copy() for col in range(3, 6)))
+    return (*(v[..., col] + 1j * v[..., col + 1] for col in (0, 2, 4)),
+            *(v[..., col].copy() for col in range(6, 9)))
+
+
+def random_start_by_class(problem, stream, constant):
+    """In-bounds start drawn from ``stream``: disc-uniform complex couplings,
+    uniform real couplings and diagonals uniform in [-4 j0, 4 j0]."""
+    k, per_seg, bounds, j0 = problem.k, problem.per_seg, problem.bounds, problem.j0
+    rows = 1 if constant else k
+    u = stream.uniform(rows * per_seg).reshape(rows, per_seg)
+    v = np.zeros((rows, per_seg))
+    if problem.controls == "real_symmetric":
+        v[:, 0] = (2 * u[:, 0] - 1) * bounds[0]
+        v[:, 1] = (2 * u[:, 1] - 1) * j0
+        v[:, 2] = (2 * u[:, 2] - 1) * 4 * j0
+    elif problem.controls == "real":
+        for col, bound in enumerate(bounds):
+            v[:, col] = (2 * u[:, col] - 1) * bound
+        v[:, 3:6] = (2 * u[:, 3:6] - 1) * 4 * j0
+    else:
+        for col, bound in zip((0, 2, 4), bounds):
+            mag = bound * np.sqrt(u[:, col])
+            ang = 2 * np.pi * u[:, col + 1]
+            v[:, col] = mag * np.cos(ang)
+            v[:, col + 1] = mag * np.sin(ang)
+        v[:, 6:9] = (2 * u[:, 6:9] - 1) * 4 * j0
+    if constant:
+        v = np.repeat(v, k, axis=0)
+    return v.reshape(-1)

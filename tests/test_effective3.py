@@ -269,3 +269,22 @@ def test_effective3_json_round_trip():
                    "d1": 0.1, "da": -3.0, "dn": 0.0}
     back = Effective3.from_json_dict(doc)
     assert np.abs(back.matrix() - eff.matrix()).max() == 0.0
+
+
+def test_effective3_rejects_non_finite_fields():
+    base = dict(j1a=1.0, jan=0.5j, j1n=0.25, d1=0.1, da=-3.0, dn=0.0, frame_shift=2.0)
+    for name in base:
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(InvalidSizeError, match=name):
+                Effective3(**{**base, name: bad})
+        if name in ("j1a", "jan", "j1n"):
+            with pytest.raises(InvalidSizeError, match=name):
+                Effective3(**{**base, name: complex(1.0, np.nan)})
+    # a NaN coupling used to pass check_effective_bounds with .ok true
+    with pytest.raises(InvalidSizeError, match="j1a"):
+        check_effective_bounds(Effective3(j1a=np.nan, jan=0, j1n=0), 5, 1.0)
+    doc = Effective3(**base).to_json_dict()
+    with pytest.raises(InvalidSizeError, match="da"):
+        Effective3.from_json_dict({**doc, "da": float("nan")})
+    with pytest.raises(InvalidSizeError, match="j1n"):
+        Effective3.from_json_dict({**doc, "j1n": [0.0, float("inf")]})

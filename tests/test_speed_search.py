@@ -5,7 +5,9 @@ from fcqst import min_time_bisection, minimum_transfer_time, optimize_pulse, tra
 from fcqst.exceptions import InvalidSizeError
 from fcqst.speed_search import PulseParams, _Problem, pulse_to_schedule
 from fcqst.propagator import evolve_schedule
+from fcqst.rng import KeyedStream
 from fcqst.spin_model import EFFECTIVE3
+from oracles import expand_by_class, project_by_class, random_start_by_class
 
 
 def test_zero_time_gives_zero_fidelity():
@@ -35,12 +37,14 @@ def test_recovers_optimal_constant_pulse():
 # the complex and the real-coupling search modes run through the same checks;
 # a loop rather than a parametrization keeps each test's id stable
 SEARCH_MODES = (False, True)  # real_couplings
+# every control class, by the optimize_pulse flags that select it
+CLASS_FLAGS = {"complex": {}, "real": {"real_couplings": True},
+               "real_symmetric": {"real_symmetric": True}}
 
 
 def test_deterministic_given_seed():
-    for real_couplings in SEARCH_MODES:
-        kwargs = dict(n_segments=3, restarts=3, seed=99, max_iters=25,
-                      real_couplings=real_couplings)
+    for flags in CLASS_FLAGS.values():
+        kwargs = dict(n_segments=3, restarts=3, seed=99, max_iters=25, **flags)
         a = optimize_pulse(4, 1.0, 0.8, **kwargs)
         b = optimize_pulse(4, 1.0, 0.8, **kwargs)
         assert a.best_fidelity == b.best_fidelity
@@ -50,8 +54,8 @@ def test_deterministic_given_seed():
 
 
 def test_projection_idempotent_never_grows():
-    for real_couplings in SEARCH_MODES:
-        problem = _Problem(6, 1.0, 1.0, 4, "real" if real_couplings else "complex")
+    for controls in CLASS_FLAGS:
+        problem = _Problem(6, 1.0, 1.0, 4, controls)
         gen = np.random.default_rng(0)
         for _ in range(25):
             x = gen.normal(scale=5.0, size=problem.dim)
@@ -64,9 +68,12 @@ def test_projection_idempotent_never_grows():
             assert np.abs(after.j1n).max() <= np.abs(before.j1n).max() + 1e-12
             # projected controls respect the bounds
             assert max(after.bound_report().values()) <= 1.0 + 1e-12
-            if real_couplings:
+            if controls != "complex":
                 for name in ("j1a", "jan", "j1n"):
                     assert np.all(getattr(after, name).imag == 0.0)
+            if controls == "real_symmetric":
+                assert np.array_equal(after.j1a, after.jan)
+                assert not after.d1.any() and not after.dn.any()
 
 
 def test_result_consistent_with_independent_propagation():
@@ -186,3 +193,27 @@ def test_bisection_locates_transfer_window_coarsely():
     assert reference * 0.9 <= res.t_star <= reference * 1.08
     assert all(s.total_time <= 2 * np.pi / np.sqrt(2 * n) + 1e-12 for s in res.samples)
     assert all(0.0 <= s.best_fidelity <= 1.0 + 1e-12 for s in res.samples)
+
+
+def test_layout_table_matches_class_branches():
+    # points far outside, exactly on and inside the bounds, for each class
+    for controls, per_seg in (("complex", 9), ("real", 6), ("real_symmetric", 3)):
+        for n, j0, k in ((3, 1.0, 1), (5, 0.7, 4), (12, 2.5, 8)):
+            problem = _Problem(n, j0, 1.0, k, controls)
+            assert problem.per_seg == per_seg and problem.dim == per_seg * k
+            gen = np.random.default_rng(n * k)
+            far = gen.normal(scale=50.0, size=(16, problem.dim))
+            on = project_by_class(problem, far)
+            inside = gen.normal(scale=0.1, size=(16, problem.dim))
+            xs = np.concatenate([far, on, inside])
+            assert np.array_equal(problem.project(xs), project_by_class(problem, xs))
+            for x in (xs, xs[0]):
+                for got, want in zip(problem.expand(x), expand_by_class(problem, x),
+                                     strict=True):
+                    assert got.dtype == want.dtype and np.array_equal(got, want)
+            for seed in range(4):
+                for constant in (True, False):
+                    got = problem.random_start(KeyedStream.from_seed(seed, 1), constant)
+                    want = random_start_by_class(
+                        problem, KeyedStream.from_seed(seed, 1), constant)
+                    assert np.array_equal(got, want)
