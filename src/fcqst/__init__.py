@@ -44,7 +44,6 @@ from .noise_mc import (
     fit_power_law,
     run_mc,
     sample_noisy_hamiltonian,
-    trial_fidelity,
 )
 from .propagator import (
     ControlSchedule,

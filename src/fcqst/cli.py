@@ -148,7 +148,7 @@ def cmd_speed_scan(args, argv) -> int:
     fid_target = 1.0 - args.target if args.target > 0 else 0.0
     result = min_time_bisection(args.n, args.j0, fid_target, args.time_tol,
                                 n_segments=args.segments, restarts=args.restarts,
-                                seed=args.seed)
+                                seed=args.seed, real_couplings=args.real_couplings)
     rows = [{
         "T": f"{s.total_time:.12g}", "best_fidelity": f"{s.best_fidelity:.15g}",
         "evaluations": s.evaluations, "restarts_hit_bound": s.restarts_hit_bound,
@@ -158,7 +158,7 @@ def cmd_speed_scan(args, argv) -> int:
     reference = minimum_transfer_time(args.n, args.j0)
     summary = {
         "t_star": result.t_star, "fid_target": fid_target,
-        "reference_minimum": reference,
+        "real_couplings": args.real_couplings, "reference_minimum": reference,
         "relative_gap": (result.t_star - reference) / reference,
         "monotonic_warning": result.monotonic_warning,
     }
@@ -291,6 +291,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="target infidelity (0 requests the trivial zero-fidelity target)")
     p.add_argument("--time-tol", type=float, default=1e-3, dest="time_tol")
     p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--real-couplings", action="store_true", dest="real_couplings",
+                   help="search the real-coupling class (criterion 10) instead of complex")
     p.add_argument("--out", default=None)
     p.add_argument("--svg", action="store_true")
 

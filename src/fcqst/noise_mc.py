@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
-from .exceptions import BasisError, InvalidSizeError
+from .exceptions import InvalidSizeError
 from .propagator import evolve_source, minimum_transfer_time
 from .spin_model import (
     SINGLE_EXCITATION,
@@ -142,17 +142,6 @@ def sample_noisy_hamiltonian(cfg: NoiseConfig, trial: int = 0) -> SectorMatrix:
     h, e1, en = _noisy_matrix(cfg, base.entries.real, trial, _upper_flat_index(cfg.n))
     return SectorMatrix(basis_tag=SINGLE_EXCITATION, entries=h,
                         vacuum_phase_rate=base.vacuum_phase_rate + e1 + en)
-
-
-def trial_fidelity(noisy: SectorMatrix, base: SectorMatrix, t: float) -> complex:
-    """Complex overlap <phi_1| e^{+i base t} e^{-i noisy t} |phi_1>."""
-    if noisy.dim != base.dim:
-        raise BasisError(f"dimension mismatch: {noisy.dim} vs {base.dim}")
-    if np.array_equal(noisy.entries, base.entries):
-        return 1.0 + 0.0j  # exact by unitarity, bypassing roundoff
-    ideal, _ = evolve_source(base.entries, t)
-    evolved, _ = evolve_source(noisy.entries, t)
-    return complex(np.vdot(ideal, evolved))
 
 
 def trial_overlaps(cfg: NoiseConfig) -> np.ndarray:

@@ -6,6 +6,14 @@ Hermitian matrices this package produces.  Piecewise-constant schedules are
 the only representation of time dependence; smooth controls are sampled by
 the caller.
 
+A 2^N full-space matrix of the model conserves excitation number, so it is
+block diagonal over the basis states grouped by popcount, with blocks of
+size C(N, k).  ``evolve_constant`` propagates such a matrix one block at a
+time (blocks of equal size in one stacked ``eigh`` call) once an exact
+test proves the structure: the nonzero count of the whole matrix must equal
+the sum of the blocks' counts.  A full-space matrix that fails the test
+takes the dense path.
+
 When only the evolved source state exp(-i h t)|phi_1> is needed, as in the
 noise Monte Carlo, ``evolve_source`` projects onto a short Lanczos basis
 (Park & Light, J. Chem. Phys. 85, 5870 (1986)) and accepts the result only
@@ -27,6 +35,7 @@ from .exceptions import (
 )
 from .spin_model import (
     EFFECTIVE3,
+    FULL_SPACE,
     SINGLE_EXCITATION,
     SectorMatrix,
     SpinModel,
@@ -54,7 +63,45 @@ def evolve_constant(h, t: float) -> np.ndarray:
     """exp(-i h t) of a SectorMatrix, or of an array that passes its checks."""
     if not isinstance(h, SectorMatrix):
         h = SectorMatrix(basis_tag="array", entries=h)
+    if h.basis_tag == FULL_SPACE:
+        u = _excitation_block_propagator(h.entries, t)
+        if u is not None:
+            return u
     return segment_propagators(h.entries, t)
+
+
+def _excitation_blocks(n: int) -> list[np.ndarray]:
+    """Basis indices of the 2^n space by excitation number, one (m, s) array per block size s.
+
+    Each row lists, in ascending order, the states of one excitation number
+    k with C(n, k) = s; since C(n, k) = C(n, n - k), a group has one or two
+    rows.
+    """
+    idx = np.arange(1 << n)
+    popcount = np.zeros(idx.size, dtype=int)
+    for q in range(n):
+        popcount += (idx >> q) & 1
+    groups: dict[int, list[np.ndarray]] = {}
+    for k in range(n + 1):
+        groups.setdefault(math.comb(n, k), []).append(np.flatnonzero(popcount == k))
+    return [np.array(rows) for rows in groups.values()]
+
+
+def _excitation_block_propagator(h: np.ndarray, t: float) -> np.ndarray | None:
+    """exp(-i h t) of a 2^n matrix built block by block, or None if h mixes excitation numbers.
+
+    The blocks hold every nonzero entry exactly when their nonzero counts
+    add up to the whole matrix's; each group of equal-size blocks goes
+    through one ``segment_propagators`` call.
+    """
+    blocks = [(rows, h[rows[:, :, None], rows[:, None, :]])
+              for rows in _excitation_blocks(h.shape[0].bit_length() - 1)]
+    if sum(np.count_nonzero(b) for _, b in blocks) != np.count_nonzero(h):
+        return None
+    u = np.zeros(h.shape, dtype=complex)
+    for rows, b in blocks:
+        u[rows[:, :, None], rows[:, None, :]] = segment_propagators(b, t)
+    return u
 
 
 def evolve_source(h: np.ndarray, t: float) -> tuple[np.ndarray, int]:

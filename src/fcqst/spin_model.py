@@ -288,13 +288,16 @@ def project_full_space(model: SpinModel) -> SectorMatrix:
         diag += u * zsign(i) * zsign(j)
     h[idx, idx] = diag
 
-    for i, j, v in zip(*_upper_pairs(model.couplings)):
-        bi, bj = 1 << i, 1 << j
-        # J_ij s+_i s-_j maps states with qubit j excited, i not, onto i excited
-        src = idx[((idx & bj) != 0) & ((idx & bi) == 0)]
-        dst = src ^ bi ^ bj
-        h[dst, src] += v
-        h[src, dst] += np.conj(v)
+    # J_ij s+_i s-_j maps states with qubit j excited, i not, onto i excited.
+    # Distinct pairs make distinct off-diagonal transitions, so one update
+    # per triangle adds every pair's term to a zero entry exactly once.
+    rows, cols, vals = _upper_pairs(model.couplings)
+    bits = (idx[:, None] >> np.arange(n)) & 1
+    src, pair = np.nonzero((bits[:, cols] == 1) & (bits[:, rows] == 0))
+    dst = src ^ (1 << rows[pair]) ^ (1 << cols[pair])
+    h[dst, src] += vals[pair]
+    h[src, dst] += vals[pair].conj()
+    h.flags.writeable = False
     return SectorMatrix(basis_tag=FULL_SPACE, entries=h, vacuum_phase_rate=float(diag[0]))
 
 

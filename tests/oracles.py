@@ -67,6 +67,15 @@ def eig_propagator(h, t):
     return (v * np.exp(-1j * w * t)) @ v.conj().T
 
 
+def noisy_overlap(noisy, base, t):
+    """<phi_1| e^{+i base t} e^{-i noisy t} |phi_1> of one trial, from two dense eigh columns."""
+    def column(h):
+        w, v = np.linalg.eigh(np.asarray(h))
+        return (v * np.exp(-1j * w * t)) @ v[0].conj()
+
+    return complex(np.vdot(column(base), column(noisy)))
+
+
 def unbatched_eigh_propagator(h, t):
     """exp(-i h t) by the one-matrix formula the batched kernel replaced.
 
@@ -168,6 +177,19 @@ def full_space_from_pairs(n, coupling_items, zz_items, fields):
         h[dst, src] += v
         h[src, dst] += np.conj(v)
     return h, float(diag[0])
+
+
+def full_space_loop(model):
+    """2^N matrix and vacuum energy of a SpinModel, one nonzero pair at a time.
+
+    The per-pair coupling loop the vectorised projection replaced; pairs
+    with a zero coupling or ZZ coefficient are skipped, as it skipped them.
+    """
+    def nonzero_pairs(matrix):
+        return [(pair, v) for pair, v in pairs_of(matrix) if v != 0]
+
+    return full_space_from_pairs(model.n, nonzero_pairs(model.couplings),
+                                 nonzero_pairs(model.zz), model.fields)
 
 
 def coupling_bounds_loop(couplings, j0):

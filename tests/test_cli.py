@@ -216,6 +216,36 @@ def test_speed_scan_trivial_target(tmp_path, capsys):
     assert summary["t_star"] == 0.0
 
 
+@pytest.mark.parametrize("flag", [False, True])
+def test_speed_scan_real_couplings_reaches_the_search(tmp_path, capsys, monkeypatch, flag):
+    from fcqst import speed_search
+
+    flags, imag_parts = [], []
+    real_optimize = speed_search.optimize_pulse
+
+    def spy(*args, real_couplings=False, **kwargs):
+        res = real_optimize(*args, real_couplings=real_couplings, **kwargs)
+        flags.append(real_couplings)
+        p = res.best_pulse
+        imag_parts.append(max(np.abs(c.imag).max() for c in (p.j1a, p.jan, p.j1n)))
+        return res
+
+    monkeypatch.setattr(speed_search, "optimize_pulse", spy)
+    out = tmp_path / "scan.csv"
+    argv = ["speed-scan", "--n", "3", "--target", "1e-3", "--segments", "1",
+            "--restarts", "1", "--time-tol", "1.0", "--out", str(out)]
+    if flag:
+        argv.append("--real-couplings")
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 0
+    assert flags and set(flags) == {flag}
+    # the real class returns real couplings; the complex one does not
+    assert bool(max(imag_parts) == 0.0) is flag
+    assert json.loads(err.splitlines()[-1])["real_couplings"] is flag
+    manifest = json.loads((tmp_path / "scan.csv.manifest.json").read_text())
+    assert ("--real-couplings" in manifest["command"]) is flag
+
+
 def test_speed_scan_rejects_bad_j0(capsys):
     code, _, err = run_cli(capsys, "speed-scan", "--n", "3", "--j0", "-1", "--target", "1e-3")
     assert code == 2

@@ -5,10 +5,12 @@ from fcqst import (
     ControlSchedule,
     SpinModel,
     build_h_opt,
+    build_h_opt_prime,
     evolve_constant,
     evolve_schedule,
     lr_commutator_check,
     minimum_transfer_time,
+    project_full_space,
     project_single_excitation,
     transfer_fidelity,
 )
@@ -31,7 +33,12 @@ from fcqst.propagator import (
 )
 from fcqst.spin_model import EFFECTIVE3, FULL_SPACE, SINGLE_EXCITATION, SectorMatrix
 
-from oracles import eig_propagator, sequential_product, unbatched_eigh_propagator
+from oracles import (
+    eig_propagator,
+    excitation_number,
+    sequential_product,
+    unbatched_eigh_propagator,
+)
 
 
 def _sector(mat, tag=EFFECTIVE3):
@@ -276,3 +283,60 @@ def test_sector_equivalence_full_vs_single_excitation():
         for q in range(n):
             assert abs(u_full[1 << q, src] - u_sect[q, 0]) < 1e-10
         assert abs(u_full[tgt, src] - u_sect[-1, 0]) < 1e-10
+
+
+def _random_model(n, seed):
+    """Complex couplings, ZZ terms and fields on every pair and qubit."""
+    gen = np.random.default_rng(seed)
+    c = np.triu(gen.normal(size=(n, n)) + 1j * gen.normal(size=(n, n)), 1)
+    z = np.triu(gen.normal(size=(n, n)), 1)
+    return SpinModel(n=n, couplings=c + c.conj().T, zz=z + z.T,
+                     fields=tuple(gen.normal(size=n)))
+
+
+@pytest.mark.parametrize("n", range(3, 10))
+def test_full_space_propagator_by_excitation_blocks(n):
+    h = project_full_space(_random_model(n, 40 + n))
+    num = excitation_number(n)
+    for t in (0.37, 1.0):
+        u = evolve_constant(h, t)
+        assert np.abs(u - eig_propagator(h.entries, t)).max() < 1e-12
+        assert not u[num[:, None] != num[None, :]].any()  # exactly zero between blocks
+
+
+def test_full_space_matrix_mixing_excitation_numbers_takes_dense_path():
+    entries = np.array(project_full_space(build_h_opt(4, 1.0)).entries)
+    entries[0, 1] = entries[1, 0] = 0.3  # couples excitation numbers 0 and 1
+    h = SectorMatrix(basis_tag=FULL_SPACE, entries=entries)
+    u = evolve_constant(h, 0.37)
+    assert np.array_equal(u, segment_propagators(h.entries, 0.37))
+    assert abs(u[1, 0]) > 0.0
+
+
+def test_other_bases_keep_the_dense_formula():
+    # the block path is chosen by the FULL_SPACE tag alone: the same
+    # block-diagonal 2^3 matrix under any other tag, and the sector and
+    # 3-level matrices, reproduce the one-matrix formula bit for bit
+    model = _random_model(3, 7)
+    full = project_full_space(model).entries
+    inputs = [full, SectorMatrix(basis_tag=SINGLE_EXCITATION, entries=full),
+              project_single_excitation(model), project_single_excitation(build_h_opt(9, 1.0)),
+              reduce_to_effective(build_h_opt(9, 1.0)).sector_matrix()]
+    for h in inputs:
+        entries = h.entries if isinstance(h, SectorMatrix) else h
+        for t in (0.0, 0.37, 5.0):
+            assert np.array_equal(evolve_constant(h, t), unbatched_eigh_propagator(entries, t))
+
+
+@pytest.mark.parametrize("builder", [build_h_opt, build_h_opt_prime])
+def test_sector_equivalence_at_eleven_qubits(builder):
+    # criterion 6's three-way amplitude check at the bench's largest size
+    n = 11
+    t = minimum_transfer_time(n, 1.0) * 0.77
+    model = builder(n, 1.0)
+    amp_full = evolve_constant(project_full_space(model), t)[1 << (n - 1), 1]
+    amp_sect = evolve_constant(project_single_excitation(model), t)[-1, 0]
+    eff = reduce_to_effective(model)
+    amp_eff = evolve_constant(eff.sector_matrix(), t)[2, 0] * np.exp(-1j * eff.frame_shift * t)
+    assert abs(amp_full - amp_sect) <= 1e-10
+    assert abs(amp_sect - amp_eff) <= 1e-10

@@ -19,6 +19,7 @@ from oracles import (
     excitation_number,
     full_hamiltonian,
     full_space_from_pairs,
+    full_space_loop,
     h_opt_pairs,
     h_opt_prime_pairs,
     pairs_of,
@@ -353,5 +354,25 @@ def test_full_space_matches_dict_oracle(builder, oracle):
         couplings, fields = oracle(n, 0.7)
         full = project_full_space(builder(n, 0.7))
         entries, vac = full_space_from_pairs(n, couplings.items(), (), fields)
+        assert np.array_equal(full.entries, entries)
+        assert full.vacuum_phase_rate == vac
+
+
+def test_full_space_matches_pair_loop():
+    # the vectorised coupling update reproduces the per-pair loop exactly,
+    # for the builders and for random models with complex couplings, ZZ
+    # terms, fields and some pairs left at zero
+    models = [builder(n, 0.7) for n in range(3, 12) for builder in (build_h_opt, build_h_opt_prime)]
+    gen = np.random.default_rng(5)
+    for n in range(2, 10):
+        c = np.triu(gen.normal(size=(n, n)) + 1j * gen.normal(size=(n, n)), 1)
+        z = np.triu(gen.normal(size=(n, n)), 1)
+        c[gen.random((n, n)) < 0.3] = 0.0
+        z[gen.random((n, n)) < 0.3] = 0.0
+        models.append(SpinModel(n=n, couplings=c + c.conj().T, zz=z + z.T,
+                                fields=tuple(gen.normal(size=n))))
+    for model in models:
+        full = project_full_space(model)
+        entries, vac = full_space_loop(model)
         assert np.array_equal(full.entries, entries)
         assert full.vacuum_phase_rate == vac
