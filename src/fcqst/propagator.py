@@ -31,6 +31,7 @@ import numpy as np
 from .exceptions import (
     BasisError,
     GridMismatchError,
+    InvalidSizeError,
     SizeLimitError,
 )
 from .spin_model import (
@@ -59,8 +60,15 @@ def minimum_transfer_time(n: int, j0: float = 1.0) -> float:
     return np.pi / (j0 * np.sqrt(2.0 * n))
 
 
+def _require_finite_time(t: float) -> None:
+    """Raise InvalidSizeError unless the evolution time t is finite (any sign)."""
+    if not math.isfinite(t):
+        raise InvalidSizeError(f"evolution time must be finite, got {t}")
+
+
 def evolve_constant(h, t: float) -> np.ndarray:
     """exp(-i h t) of a SectorMatrix, or of an array that passes its checks."""
+    _require_finite_time(t)
     if not isinstance(h, SectorMatrix):
         h = SectorMatrix(basis_tag="array", entries=h)
     if h.basis_tag == FULL_SPACE:
@@ -87,20 +95,30 @@ def _excitation_blocks(n: int) -> list[np.ndarray]:
     return [np.array(rows) for rows in groups.values()]
 
 
-def _excitation_block_propagator(h: np.ndarray, t: float) -> np.ndarray | None:
-    """exp(-i h t) of a 2^n matrix built block by block, or None if h mixes excitation numbers.
+def _excitation_block_propagator(h: np.ndarray, t: float, cols=None) -> np.ndarray | None:
+    """Columns ``cols`` (default all) of exp(-i h t) for a 2^n matrix, or None if h mixes excitation numbers.
 
     The blocks hold every nonzero entry exactly when their nonzero counts
-    add up to the whole matrix's; each group of equal-size blocks goes
-    through one ``segment_propagators`` call.
+    add up to the whole matrix's; each group of equal-size blocks that holds
+    a wanted basis state goes through one ``segment_propagators`` call, and
+    the other groups are never propagated.
     """
     blocks = [(rows, h[rows[:, :, None], rows[:, None, :]])
               for rows in _excitation_blocks(h.shape[0].bit_length() - 1)]
     if sum(np.count_nonzero(b) for _, b in blocks) != np.count_nonzero(h):
         return None
-    u = np.zeros(h.shape, dtype=complex)
+    if cols is None:
+        u = np.zeros(h.shape, dtype=complex)
+        for rows, b in blocks:
+            u[rows[:, :, None], rows[:, None, :]] = segment_propagators(b, t)
+        return u
+    u = np.zeros((h.shape[0], len(cols)), dtype=complex)
     for rows, b in blocks:
-        u[rows[:, :, None], rows[:, None, :]] = segment_propagators(b, t)
+        hits = [(j, *np.argwhere(rows == c)[0]) for j, c in enumerate(cols) if c in rows]
+        if hits:
+            us = segment_propagators(b, t)
+            for j, block, pos in hits:
+                u[rows[block], j] = us[block, :, pos]
     return u
 
 
@@ -258,11 +276,6 @@ def transfer_fidelity(u: np.ndarray, basis_tag: str) -> float:
     raise BasisError(f"transfer fidelity undefined for basis {basis_tag!r}")
 
 
-def _apply_sigma_x(psi: np.ndarray, qubit: int) -> np.ndarray:
-    mask = 1 << (qubit - 1)
-    return psi[np.arange(psi.size) ^ mask]
-
-
 def _apply_sigma_y(psi: np.ndarray, qubit: int) -> np.ndarray:
     # sy|0> = i|1>, sy|1> = -i|0>
     idx = np.arange(psi.size)
@@ -282,31 +295,35 @@ def lr_commutator_check(model: SpinModel, t: float) -> complex:
     transfer phases; without it the expectation's modulus depends on an
     N-dependent relative phase rather than on the transfer quality).  For a
     perfect transfer the result has modulus exactly 2.
+
+    The full 2^N matrix is built and proven block diagonal in excitation
+    number, but the expectation reads only U|psi0> and U sx_1|psi0>, so only
+    the vacuum and one-excitation columns of U are propagated.
     """
+    _require_finite_time(t)
     if model.n > LR_MAX_QUBITS:
         raise SizeLimitError(
             f"commutator check limited to n <= {LR_MAX_QUBITS}, got n={model.n}")
-    h = project_full_space(model)
-    u = evolve_constant(h, t)
-    dim = u.shape[0]
-    psi0 = np.zeros(dim, dtype=complex)
-    psi0[0] = 1.0
+    h = project_full_space(model).entries
+    u = _excitation_block_propagator(h, t, [0, 1])
+    if u is None:
+        u = segment_propagators(h, t)[:, :2]
+    vac_col, src_col = u[:, 0], u[:, 1]  # U|psi0> and U sx_1|psi0>
 
-    vac_amp = u[0, 0]
-    src = 1 << 0
+    vac_amp = vac_col[0]
     tgt = 1 << (model.n - 1)
-    transfer_amp = u[tgt, src]
+    transfer_amp = src_col[tgt]
 
     # phase gate diag(1, e^{i theta}) on qubit N plus a global phase: makes
     # the vacuum amplitude real-positive and the transfer amplitude's phase
     # match it, as the transfer protocol prescribes.
     chi = -np.angle(vac_amp) if abs(vac_amp) > 0 else 0.0
     theta = (np.angle(vac_amp) - np.angle(transfer_amp)) if abs(transfer_amp) > 0 else 0.0
-    idx = np.arange(dim)
+    idx = np.arange(h.shape[0])
     gate = np.exp(1j * chi) * np.where((idx & tgt) == 0, 1.0, np.exp(1j * theta))
-    u = gate[:, None] * u
 
-    upsi0 = u @ psi0
-    term1 = np.vdot(upsi0, _apply_sigma_y(u @ _apply_sigma_x(psi0, 1), model.n))
-    term2 = np.vdot(u @ _apply_sigma_x(psi0, 1), _apply_sigma_y(upsi0, model.n))
+    upsi0 = gate * vac_col
+    usrc = gate * src_col
+    term1 = np.vdot(upsi0, _apply_sigma_y(usrc, model.n))
+    term2 = np.vdot(usrc, _apply_sigma_y(upsi0, model.n))
     return complex(term1 - term2)

@@ -71,8 +71,15 @@ def _read_only(x, dtype) -> np.ndarray:
 
 
 def _exactly_hermitian(m: np.ndarray) -> bool:
-    """m equals its conjugate transpose, compared in row blocks to keep temporaries small."""
-    return all(np.array_equal(m[k:k + 64], m[:, k:k + 64].T.conj()) for k in range(0, len(m), 64))
+    """m equals its conjugate transpose, compared in 128 x 128 tiles.
+
+    Each tile on or above the diagonal is compared with the conjugate
+    transpose of its mirror tile, so temporaries stay tile-sized and every
+    read is a short contiguous row.
+    """
+    n, b = len(m), 128
+    return all(np.array_equal(m[i:i + b, j:j + b], m[j:j + b, i:i + b].T.conj())
+               for i in range(0, n, b) for j in range(i, n, b))
 
 
 def _pair_matrix(n: int, raw, dtype, what: str) -> np.ndarray:

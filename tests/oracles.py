@@ -2,10 +2,14 @@
 
 Everything here is built from explicit Kronecker products of 2x2 Pauli
 matrices, deliberately sharing no code with the package's vectorized
-constructions.
+constructions.  The one exception is ``lr_commutator_dense``, which keeps a
+replaced package form on top of the package's full-space matrix and
+propagator.
 """
 
 import numpy as np
+
+from fcqst import evolve_constant, project_full_space
 
 ID2 = np.eye(2, dtype=complex)
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -65,6 +69,52 @@ def excitation_number(n):
 def eig_propagator(h, t):
     w, v = np.linalg.eigh(h)
     return (v * np.exp(-1j * w * t)) @ v.conj().T
+
+
+def _apply_sigma_x(psi, qubit):
+    mask = 1 << (qubit - 1)
+    return psi[np.arange(psi.size) ^ mask]
+
+
+def _apply_sigma_y(psi, qubit):
+    # sy|0> = i|1>, sy|1> = -i|0>
+    idx = np.arange(psi.size)
+    mask = 1 << (qubit - 1)
+    amp = np.where((idx & mask) == 0, 1j, -1j)
+    out = np.empty_like(psi)
+    out[idx ^ mask] = amp * psi
+    return out
+
+
+def lr_commutator_dense(model, t):
+    """<psi0| [sy_N(t), sx_1] |psi0> from the whole gated 2^N propagator.
+
+    The full-U form the two-column commutator replaced, kept as written:
+    it takes U from ``evolve_constant`` (itself pinned to the one-matrix
+    formula) and applies the phase gate to every column before reading
+    columns 0 and 1 through matrix-vector products.
+    """
+    h = project_full_space(model)
+    u = evolve_constant(h, t)
+    dim = u.shape[0]
+    psi0 = np.zeros(dim, dtype=complex)
+    psi0[0] = 1.0
+
+    vac_amp = u[0, 0]
+    src = 1 << 0
+    tgt = 1 << (model.n - 1)
+    transfer_amp = u[tgt, src]
+
+    chi = -np.angle(vac_amp) if abs(vac_amp) > 0 else 0.0
+    theta = (np.angle(vac_amp) - np.angle(transfer_amp)) if abs(transfer_amp) > 0 else 0.0
+    idx = np.arange(dim)
+    gate = np.exp(1j * chi) * np.where((idx & tgt) == 0, 1.0, np.exp(1j * theta))
+    u = gate[:, None] * u
+
+    upsi0 = u @ psi0
+    term1 = np.vdot(upsi0, _apply_sigma_y(u @ _apply_sigma_x(psi0, 1), model.n))
+    term2 = np.vdot(u @ _apply_sigma_x(psi0, 1), _apply_sigma_y(upsi0, model.n))
+    return complex(term1 - term2)
 
 
 def noisy_overlap(noisy, base, t):

@@ -26,6 +26,7 @@ from fcqst.exceptions import (
 from fcqst.propagator import (
     DENSE_MAX_N,
     KRYLOV_MAX_DIM,
+    _excitation_block_propagator,
     _lanczos_source,
     evolve_source,
     ordered_product,
@@ -36,6 +37,7 @@ from fcqst.spin_model import EFFECTIVE3, FULL_SPACE, SINGLE_EXCITATION, SectorMa
 from oracles import (
     eig_propagator,
     excitation_number,
+    lr_commutator_dense,
     sequential_product,
     unbatched_eigh_propagator,
 )
@@ -270,6 +272,16 @@ def test_lr_commutator_size_guard():
         lr_commutator_check(SpinModel(n=11), 1.0)
 
 
+@pytest.mark.parametrize("builder, n", [(b, n) for b in (build_h_opt, build_h_opt_prime)
+                                        for n in range(3, 11)] + [(None, n) for n in range(2, 11)])
+def test_lr_commutator_matches_full_propagator_form(builder, n):
+    # the two-column commutator reproduces the whole gated 2^N propagator's
+    # value bit for bit
+    model = builder(n, 1.0) if builder else _random_model(n, 70 + n)
+    for t in (0.0, 0.37, minimum_transfer_time(n, 1.0)):
+        assert lr_commutator_check(model, t) == lr_commutator_dense(model, t)
+
+
 def test_sector_equivalence_full_vs_single_excitation():
     # evolving the 2^N matrix and the N-dim sector from |phi_1> agree
     from fcqst import project_full_space
@@ -311,6 +323,38 @@ def test_full_space_matrix_mixing_excitation_numbers_takes_dense_path():
     u = evolve_constant(h, 0.37)
     assert np.array_equal(u, segment_propagators(h.entries, 0.37))
     assert abs(u[1, 0]) > 0.0
+    assert _excitation_block_propagator(h.entries, 0.37, [0, 1]) is None
+
+
+@pytest.mark.parametrize("n", range(2, 10))
+def test_excitation_block_columns_are_columns_of_the_propagator(n):
+    models = [_random_model(n, 80 + n)] + ([build_h_opt(n, 1.0)] if n >= 3 else [])
+    dim = 1 << n
+    for h in (project_full_space(m) for m in models):
+        for cols in ([0, 1], [1, 0], [dim - 1, 3, 0], list(range(dim))):
+            for t in (0.0, 0.37, -1.2):
+                assert np.array_equal(_excitation_block_propagator(h.entries, t, cols),
+                                      evolve_constant(h, t)[:, cols])
+
+
+@pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
+def test_non_finite_time_rejected(t):
+    model = build_h_opt(4, 1.0)
+    inputs = [np.eye(2), project_single_excitation(model), project_full_space(model),
+              reduce_to_effective(model).sector_matrix()]
+    for h in inputs:
+        with pytest.raises(InvalidSizeError, match="time"):
+            evolve_constant(h, t)
+    with pytest.raises(InvalidSizeError, match="time"):
+        lr_commutator_check(model, t)
+
+
+def test_negative_time_runs_backwards():
+    model = build_h_opt(4, 1.0)
+    full = project_full_space(model)
+    u = evolve_constant(full, 0.37)
+    assert np.abs(evolve_constant(full, -0.37) - u.conj().T).max() < 1e-14
+    assert np.isfinite(lr_commutator_check(model, -0.37))
 
 
 def test_other_bases_keep_the_dense_formula():

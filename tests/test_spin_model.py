@@ -12,7 +12,7 @@ from fcqst import (
     reduce_to_effective,
 )
 from fcqst.exceptions import FcqstError, HermiticityError, InvalidSizeError, SizeLimitError
-from fcqst.spin_model import FULL_SPACE, SINGLE_EXCITATION
+from fcqst.spin_model import FULL_SPACE, SINGLE_EXCITATION, _exactly_hermitian
 
 from oracles import (
     coupling_bounds_loop,
@@ -231,6 +231,29 @@ def test_sector_matrix_rejects_non_hermitian():
     with pytest.raises(HermiticityError):
         SectorMatrix(basis_tag=SINGLE_EXCITATION,
                      entries=np.array([[0, 1], [2, 0]], dtype=complex))
+
+
+@pytest.mark.parametrize("n", [1, 127, 128, 129, 300])
+def test_exact_hermitian_check_sees_one_entry_in_any_tile(n):
+    # the check compares 128 x 128 tiles with their mirrors: one perturbed
+    # entry must show in a diagonal tile, an off-diagonal tile and the
+    # ragged last tile, from either side of the diagonal
+    gen = np.random.default_rng(n)
+    a = gen.normal(size=(n, n)) + 1j * gen.normal(size=(n, n))
+    herm = a + a.conj().T
+    assert _exactly_hermitian(herm)
+    entries = [(0, 1), (1, 0), (5, 130), (130, 5), (3, n - 1), (n - 1, 3),
+               (n - 2, n - 1), (n - 1, n - 2)]
+    for i, j in [(i, j) for i, j in entries if i != j and {i, j} <= set(range(n))]:
+        bad = herm.copy()
+        bad[i, j] = bad[j, i] = 0.0
+        assert _exactly_hermitian(bad)
+        bad[i, j] = 1e-300
+        assert not _exactly_hermitian(bad)
+    for i in {0, n // 2, n - 1}:
+        bad = herm.copy()
+        bad[i, i] += 1e-300j
+        assert not _exactly_hermitian(bad)
 
 
 def test_sector_matrices_are_hermitian_and_immutable():
