@@ -1,9 +1,11 @@
 """Reproduction harness: ``fcqst`` subcommands with deterministic seeds.
 
-Exit codes: 0 pass, 1 quantitative fail, 2 usage error, 3 unsupported case.
-Every command writing an --out file also writes ``<out>.manifest.json``
-recording the command line, seed, tool version, wall time, and SHA-256
-digests of all produced files.
+Exit codes: 0 pass, 1 quantitative fail, 2 usage error (including a
+non-finite or negative speed-scan --target, an empty comma list and a
+malformed fit CSV), 3 unsupported case (any command).  Handlers compute and
+write their primary output; ``main`` runs them, and for every --out command
+that exits 0 writes ``<out>.manifest.json``: command line, seed, tool
+version, wall time, and SHA-256 digests of --out and, with --svg, its chart.
 """
 
 from __future__ import annotations
@@ -12,14 +14,15 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import sys
 import time
-
-import numpy as np
+from contextlib import nullcontext
 
 from . import __version__, brachistochrone, noise_mc, svgchart
 from .effective3 import boundary_form_check, reduce_to_effective
-from .exceptions import FcqstError, GridMismatchError, UnsupportedCaseError
+from .exceptions import (FcqstError, GridMismatchError, InvalidSizeError,
+                         UnsupportedCaseError)
 from .propagator import evolve_constant, minimum_transfer_time, transfer_fidelity
 from .spin_model import (HAMILTONIANS, SINGLE_EXCITATION, hamiltonian_builder,
                          project_single_excitation)
@@ -58,26 +61,45 @@ def _write_manifest(out_path: str, argv, seed, wall_time_s: float, outputs) -> N
 
 
 def _write_csv(path_or_none, fieldnames, rows) -> None:
-    fh = open(path_or_none, "w", newline="", encoding="utf-8") if path_or_none else sys.stdout
-    try:
+    with (open(path_or_none, "w", newline="", encoding="utf-8") if path_or_none
+          else nullcontext(sys.stdout)) as fh:
         writer = csv.DictWriter(fh, fieldnames=fieldnames)
         writer.writeheader()
-        for row in rows:
-            writer.writerow(row)
-    finally:
-        if path_or_none:
-            fh.close()
+        writer.writerows(rows)
 
 
-def _int_list(text: str) -> list[int]:
-    return [int(tok) for tok in text.split(",") if tok]
+def _comma_list(kind):
+    """argparse type: a nonempty comma list of ``kind`` values (empty tokens skipped)."""
+    def parse(text: str) -> list:
+        if values := [kind(tok) for tok in text.split(",") if tok]:
+            return values
+        raise argparse.ArgumentTypeError(f"empty list {text!r}")
+    parse.__name__ = f"{kind.__name__} list"
+    return parse
 
 
-def _float_list(text: str) -> list[float]:
-    return [float(tok) for tok in text.split(",") if tok]
+def _svg_path(out: str) -> str:
+    return out + ".svg"
 
 
-def cmd_verify(args, argv) -> int:
+def _chart(args, x, y, **labels) -> None:
+    """Render the --svg chart beside --out; it needs both flags."""
+    if args.svg and args.out:
+        svgchart.render_chart(_svg_path(args.out), x, y, **labels)
+
+
+def _column(rows, name: str) -> list[float]:
+    """The floats of one CSV column, or FcqstError if one is missing or not finite."""
+    try:
+        values = [float(row[name]) for row in rows]
+    except (KeyError, TypeError, ValueError):
+        values = None
+    if values is None or not all(map(math.isfinite, values)):
+        raise FcqstError(f"input CSV needs a column {name!r} of finite numbers")
+    return values
+
+
+def cmd_verify(args) -> int:
     model = hamiltonian_builder(args.hamiltonian)(args.n, args.j0)
     t = minimum_transfer_time(args.n, args.j0)
     u_sector = evolve_constant(project_single_excitation(model), t)
@@ -101,25 +123,18 @@ def cmd_verify(args, argv) -> int:
     return EXIT_PASS if passed else EXIT_FAIL
 
 
-def cmd_case_table(args, argv) -> int:
-    started = time.perf_counter()
+def cmd_case_table(args) -> int:
     rows = brachistochrone.case_table_rows(args.n, args.j0, j1n_bar=args.j1n_bar)
     fields = ["case_id", "zero_multipliers", "zero_slacks", "has_minimum", "t_min"]
     _write_csv(args.out, fields, rows)
-    if args.out:
-        _write_manifest(args.out, argv, None, time.perf_counter() - started, [args.out])
     return EXIT_PASS
 
 
-def cmd_qb_check(args, argv) -> int:
+def cmd_qb_check(args) -> int:
     if args.grid < 1:
         raise GridMismatchError(f"--grid must be a positive segment count, got {args.grid}")
-    try:
-        h, mult = brachistochrone.case_stationary_solution(
-            args.case, args.n, args.j0, j1n_bar=args.j1n_bar)
-    except UnsupportedCaseError as exc:
-        print(f"qb-check: {exc}", file=sys.stderr)
-        return EXIT_UNSUPPORTED
+    h, mult = brachistochrone.case_stationary_solution(
+        args.case, args.n, args.j0, j1n_bar=args.j1n_bar)
     jbar = args.j0 if args.j1n_bar is None else args.j1n_bar
     t_min = brachistochrone.case_minimum_time(args.case, args.n, args.j0,
                                               j1n_bar=jbar if args.case == 7 else None)
@@ -143,8 +158,10 @@ def cmd_qb_check(args, argv) -> int:
     return EXIT_PASS if passed else EXIT_FAIL
 
 
-def cmd_speed_scan(args, argv) -> int:
-    started = time.perf_counter()
+def cmd_speed_scan(args) -> int:
+    if not (math.isfinite(args.target) and args.target >= 0):
+        raise InvalidSizeError(
+            f"--target must be a finite nonnegative infidelity, got {args.target}")
     fid_target = 1.0 - args.target if args.target > 0 else 0.0
     result = min_time_bisection(args.n, args.j0, fid_target, args.time_tol,
                                 n_segments=args.segments, restarts=args.restarts,
@@ -163,23 +180,13 @@ def cmd_speed_scan(args, argv) -> int:
         "monotonic_warning": result.monotonic_warning,
     }
     print(json.dumps(summary), file=sys.stderr)
-    outputs = [args.out] if args.out else []
-    if args.svg and args.out:
-        svg_path = args.out + ".svg"
-        xs = [s.total_time for s in result.samples]
-        ys = [s.best_fidelity for s in result.samples]
-        order = np.argsort(xs)
-        svgchart.render_chart(svg_path, list(np.array(xs)[order]), list(np.array(ys)[order]),
-                              xlabel="total time", ylabel="best fidelity",
-                              title=f"bisection n={args.n}")
-        outputs.append(svg_path)
-    if args.out:
-        _write_manifest(args.out, argv, args.seed, time.perf_counter() - started, outputs)
+    samples = sorted(result.samples, key=lambda s: s.total_time)
+    _chart(args, [s.total_time for s in samples], [s.best_fidelity for s in samples],
+           xlabel="total time", ylabel="best fidelity", title=f"bisection n={args.n}")
     return EXIT_PASS
 
 
-def cmd_noise(args, argv) -> int:
-    started = time.perf_counter()
+def cmd_noise(args) -> int:
     rows = []
     for n in args.n:
         for sc in args.sigma_c:
@@ -196,63 +203,31 @@ def cmd_noise(args, argv) -> int:
                 })
     fields = ["n", "sigma_c", "sigma_f", "trials", "seed", "mean_infidelity", "std_error"]
     _write_csv(args.out, fields, rows)
-    outputs = [args.out] if args.out else []
-    if args.svg and args.out:
-        svg_path = args.out + ".svg"
-        if len(args.n) > 1:
-            xs, xlabel = [float(r["n"]) for r in rows], "N"
-        elif len(args.sigma_c) > 1:
-            xs, xlabel = [float(r["sigma_c"]) for r in rows], "sigma_c"
-        else:
-            xs, xlabel = [float(r["sigma_f"]) for r in rows], "sigma_f"
-        ys = [float(r["mean_infidelity"]) for r in rows]
-        svgchart.render_chart(svg_path, xs, ys, xlabel=xlabel, ylabel="mean infidelity",
-                              logx=len(args.n) > 1, logy=len(args.n) > 1,
-                              title=f"noise sweep ({args.metric})")
-        outputs.append(svg_path)
-    if args.out:
-        _write_manifest(args.out, argv, args.seed, time.perf_counter() - started, outputs)
+    xcol = "n" if len(args.n) > 1 else "sigma_c" if len(args.sigma_c) > 1 else "sigma_f"
+    _chart(args, [float(r[xcol]) for r in rows], [float(r["mean_infidelity"]) for r in rows],
+           xlabel="N" if xcol == "n" else xcol, ylabel="mean infidelity",
+           logx=len(args.n) > 1, logy=len(args.n) > 1, title=f"noise sweep ({args.metric})")
     return EXIT_PASS
 
 
-def cmd_fit(args, argv) -> int:
-    started = time.perf_counter()
+def cmd_fit(args) -> int:
     with open(args.input, newline="", encoding="utf-8") as fh:
         rows = list(csv.DictReader(fh))
-    if not rows:
-        print("fit: input CSV is empty", file=sys.stderr)
-        return EXIT_USAGE
-    if args.model == "power":
-        xcol = "n"
-    else:
-        sc = {float(r["sigma_c"]) for r in rows}
-        xcol = "sigma_c" if len(sc) > 1 else "sigma_f"
-    points = [(float(r[xcol]), float(r["mean_infidelity"])) for r in rows]
-    fit = (noise_mc.fit_power_law if args.model == "power" else noise_mc.fit_linear)(points)
-    doc = fit.to_json_dict()
-    text = json.dumps(doc, indent=2) + "\n"
-    outputs = []
+    power = args.model == "power"
+    xcol = "n" if power else (
+        "sigma_c" if len(set(_column(rows, "sigma_c"))) > 1 else "sigma_f")
+    xs, ys = _column(rows, xcol), _column(rows, "mean_infidelity")
+    fit = (noise_mc.fit_power_law if power else noise_mc.fit_linear)(list(zip(xs, ys)))
+    text = json.dumps(fit.to_json_dict(), indent=2) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
-        outputs.append(args.out)
     sys.stdout.write(text)
-    if args.svg and args.out:
-        svg_path = args.out + ".svg"
-        xs = sorted(p[0] for p in points)
-        if args.model == "power":
-            exp_, pre = fit.params
-            fys = [pre * x ** exp_ for x in xs]
-        else:
-            slope, intercept = fit.params
-            fys = [slope * x + intercept for x in xs]
-        svgchart.render_chart(svg_path, [p[0] for p in points], [p[1] for p in points],
-                              fit=(xs, fys), xlabel=xcol, ylabel="mean infidelity",
-                              logx=args.model == "power", logy=args.model == "power",
-                              title=f"{args.model} fit, r2={fit.r2:.4f}")
-        outputs.append(svg_path)
-    if args.out:
-        _write_manifest(args.out, argv, None, time.perf_counter() - started, outputs)
+    line_x = sorted(xs)
+    a, b = fit.params
+    line_y = [b * x ** a for x in line_x] if power else [a * x + b for x in line_x]
+    _chart(args, xs, ys, fit=(line_x, line_y), xlabel=xcol, ylabel="mean infidelity",
+           logx=power, logy=power, title=f"{args.model} fit, r2={fit.r2:.4f}")
     return EXIT_PASS
 
 
@@ -297,11 +272,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--svg", action="store_true")
 
     p = sub.add_parser("noise", help="seeded disorder Monte Carlo sweep")
-    p.add_argument("--n", type=_int_list, required=True,
+    p.add_argument("--n", type=_comma_list(int), required=True,
                    help="qubit count or comma list for a size sweep")
     p.add_argument("--j0", type=float, default=1.0)
-    p.add_argument("--sigma-c", type=_float_list, default=[0.0], dest="sigma_c")
-    p.add_argument("--sigma-f", type=_float_list, default=[0.0], dest="sigma_f")
+    p.add_argument("--sigma-c", type=_comma_list(float), default=[0.0], dest="sigma_c")
+    p.add_argument("--sigma-f", type=_comma_list(float), default=[0.0], dest="sigma_f")
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--hamiltonian", choices=HAMILTONIAN_CHOICES, default="opt")
@@ -335,14 +310,18 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0,) else 0
+    started = time.perf_counter()
     try:
-        return _HANDLERS[args.command](args, argv)
-    except FcqstError as exc:
+        code = _HANDLERS[args.command](args)
+        out = getattr(args, "out", None)
+        if out and code == EXIT_PASS:
+            outputs = [out, _svg_path(out)] if getattr(args, "svg", False) else [out]
+            _write_manifest(out, argv, getattr(args, "seed", None),
+                            time.perf_counter() - started, outputs)
+        return code
+    except (FcqstError, OSError) as exc:
         print(f"fcqst {args.command}: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
-        print(f"fcqst {args.command}: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return EXIT_UNSUPPORTED if isinstance(exc, UnsupportedCaseError) else EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -207,19 +207,27 @@ def _r_squared(y: np.ndarray, yhat: np.ndarray) -> float:
     return 1.0 - ss_res / ss_tot
 
 
+def _fit_points(points, model: str) -> tuple[np.ndarray, np.ndarray]:
+    """x and y arrays of >= 3 (x, y) points with finite coordinates."""
+    pts = [(float(x), float(y)) for x, y in points]
+    if len(pts) < 3:
+        raise InvalidSizeError(f"{model} fit needs >= 3 points, got {len(pts)}")
+    x, y = map(np.array, zip(*pts))
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise InvalidSizeError(f"{model} fit needs finite coordinates")
+    return x, y
+
+
 def fit_power_law(points) -> FitResult:
     """Fit y = prefactor * x^exponent by least squares in log-log coordinates.
 
     Returns params = (exponent, prefactor).  Requires >= 3 points with
-    strictly positive coordinates.
+    finite, strictly positive coordinates.
     """
-    pts = [(float(x), float(y)) for x, y in points]
-    if len(pts) < 3:
-        raise InvalidSizeError(f"power-law fit needs >= 3 points, got {len(pts)}")
-    if any(x <= 0 or y <= 0 for x, y in pts):
+    x, y = _fit_points(points, "power-law")
+    if (x <= 0).any() or (y <= 0).any():
         raise InvalidSizeError("power-law fit needs positive coordinates")
-    lx = np.log([x for x, _ in pts])
-    ly = np.log([y for _, y in pts])
+    lx, ly = np.log(x), np.log(y)
     if np.ptp(lx) == 0.0:
         return FitResult(model="power", params=(0.0, float(np.exp(ly.mean()))),
                          r2=0.0, degenerate=True)
@@ -229,12 +237,11 @@ def fit_power_law(points) -> FitResult:
 
 
 def fit_linear(points) -> FitResult:
-    """Ordinary least squares y = slope * x + intercept; params = (slope, intercept)."""
-    pts = [(float(x), float(y)) for x, y in points]
-    if len(pts) < 3:
-        raise InvalidSizeError(f"linear fit needs >= 3 points, got {len(pts)}")
-    x = np.array([p for p, _ in pts])
-    y = np.array([q for _, q in pts])
+    """Ordinary least squares y = slope * x + intercept; params = (slope, intercept).
+
+    Requires >= 3 points with finite coordinates.
+    """
+    x, y = _fit_points(points, "linear")
     if np.ptp(x) == 0.0:
         return FitResult(model="linear", params=(0.0, float(y.mean())), r2=0.0,
                          degenerate=True)

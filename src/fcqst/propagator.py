@@ -128,8 +128,9 @@ def evolve_source(h: np.ndarray, t: float) -> tuple[np.ndarray, int]:
     A real-symmetric h larger than ``DENSE_MAX_N`` goes through the Lanczos
     kernel; every other input, and every Lanczos run whose error estimate
     misses ``KRYLOV_TOL`` at ``KRYLOV_MAX_DIM``, takes the exact dense-eigh
-    column, for which the reported dimension is 0.
+    column, for which the reported dimension is 0.  The time t must be finite.
     """
+    _require_finite_time(t)
     if np.iscomplexobj(h):
         if np.abs(h.imag).max() != 0.0:
             return _dense_source(h, t), 0
@@ -202,8 +203,9 @@ class ControlSchedule:
         segs = tuple((float(dt), h) for dt, h in self.segments)
         tag, dim = segs[0][1].basis_tag, segs[0][1].dim
         for dt, h in segs:
-            if dt <= 0:
-                raise GridMismatchError(f"segment durations must be positive, got {dt}")
+            if not (math.isfinite(dt) and dt > 0):
+                raise GridMismatchError(
+                    f"segment durations must be finite and positive, got {dt}")
             if h.basis_tag != tag or h.dim != dim:
                 raise BasisError("all segments must share basis_tag and dimension")
         object.__setattr__(self, "segments", segs)

@@ -38,12 +38,15 @@ def _ticks(lo: float, hi: float, count: int = 5):
 def render_chart(path: str, x, y, *, fit=None, xlabel: str = "x",
                  ylabel: str = "y", logx: bool = False, logy: bool = False,
                  title: str = "") -> None:
-    """Write a scatter chart with an optional (xs, ys) fit line overlay."""
+    """Write a scatter chart with an optional (xs, ys) fit line overlay.
+
+    With no points at all it draws the bare axes around 0.
+    """
     tx, ty = _transform(x, logx), _transform(y, logy)
     fx, fy = (_transform(fit[0], logx), _transform(fit[1], logy)) if fit else ([], [])
     all_x, all_y = tx + fx, ty + fy
-    x0, x1 = min(all_x), max(all_x)
-    y0, y1 = min(all_y), max(all_y)
+    x0, x1 = min(all_x, default=0.0), max(all_x, default=0.0)
+    y0, y1 = min(all_y, default=0.0), max(all_y, default=0.0)
     padx = 0.05 * ((x1 - x0) or 1.0)
     pady = 0.05 * ((y1 - y0) or 1.0)
     x0, x1, y0, y1 = x0 - padx, x1 + padx, y0 - pady, y1 + pady

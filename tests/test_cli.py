@@ -269,3 +269,167 @@ def test_noise_accepts_both_opt_prime_spellings(capsys):
         assert code == 0
         outs[name] = out
     assert outs["opt-prime"] == outs["opt_prime"] != outs["opt"]
+
+
+SWEEP_FIELDS = ["n", "sigma_c", "sigma_f", "trials", "seed", "mean_infidelity", "std_error"]
+
+
+def _write_sweep(path, rows, fields=SWEEP_FIELDS):
+    """A noise-sweep CSV; missing fields of a row default to the sweep's usual values."""
+    defaults = {"n": 100, "sigma_c": 0.1, "sigma_f": 0.0, "trials": 1, "seed": 0,
+                "mean_infidelity": 0.01, "std_error": 0.0}
+    with open(path, "w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=fields, extrasaction="ignore")
+        writer.writeheader()
+        for row in rows:
+            writer.writerow({**defaults, **row})
+
+
+POWER_ROWS = [{"n": n, "mean_infidelity": 3.0 / np.sqrt(n)} for n in (10, 20, 40, 80)]
+
+MANIFEST_CASES = {
+    "case-table": ["case-table", "--n", "8", "--out", "{out}"],
+    "speed-scan": ["speed-scan", "--n", "3", "--target", "1e-3", "--segments", "1",
+                   "--restarts", "1", "--time-tol", "1.0", "--seed", "4",
+                   "--out", "{out}", "--svg"],
+    "noise": ["noise", "--n", "8,16", "--sigma-c", "0.1", "--trials", "4", "--seed", "3",
+              "--out", "{out}", "--svg"],
+    "fit": ["fit", "--input", "{sweep}", "--model", "power", "--out", "{out}", "--svg"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(MANIFEST_CASES))
+def test_manifest_lists_exactly_the_files_written(tmp_path, capsys, command):
+    sweep = tmp_path / "sweep.csv"
+    _write_sweep(sweep, POWER_ROWS)
+    out = str(tmp_path / "result")
+    argv = [a.format(out=out, sweep=sweep) for a in MANIFEST_CASES[command]]
+    code, _, _ = run_cli(capsys, *argv)
+    assert code == 0
+    with open(out + ".manifest.json", encoding="utf-8") as fh:
+        manifest = json.load(fh)
+    assert list(manifest) == ["command", "seed", "tool_version", "wall_time_s", "outputs"]
+    assert manifest["command"] == argv
+    assert manifest["seed"] == (int(argv[argv.index("--seed") + 1]) if "--seed" in argv
+                                else None)
+    expected = [out, out + ".svg"] if "--svg" in argv else [out]
+    assert [o["path"] for o in manifest["outputs"]] == expected
+    for entry in manifest["outputs"]:
+        with open(entry["path"], "rb") as fh:
+            assert entry["sha256"] == hashlib.sha256(fh.read()).hexdigest()
+
+
+@pytest.mark.parametrize("command", ["fit", "noise"])
+def test_no_manifest_after_a_nonzero_exit(tmp_path, capsys, command):
+    sweep = tmp_path / "short.csv"
+    _write_sweep(sweep, POWER_ROWS[:2])
+    out = tmp_path / "result"
+    argv = {"fit": ["fit", "--input", str(sweep), "--model", "linear"],
+            "noise": ["noise", "--n", "8", "--sigma-c", "nan"]}[command]
+    code, _, err = run_cli(capsys, *argv, "--out", str(out))
+    assert code == 2
+    assert err.startswith(f"fcqst {command}: ")
+    assert not (tmp_path / "result.manifest.json").exists()
+
+
+def assert_usage_error(err, command, name):
+    assert f"fcqst {command}: " in err
+    assert name in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("target", ["nan", "inf", "-inf", "-0.5"])
+def test_speed_scan_rejects_bad_target(tmp_path, capsys, target):
+    out = tmp_path / "scan.csv"
+    code, stdout, err = run_cli(capsys, "speed-scan", "--n", "3", f"--target={target}",
+                                "--out", str(out))
+    assert code == 2
+    assert stdout == ""
+    assert_usage_error(err, "speed-scan", "--target")
+    assert not out.exists()
+
+
+def test_speed_scan_trivial_target_chart_has_bare_axes(tmp_path, capsys):
+    out = tmp_path / "scan.csv"
+    code, _, _ = run_cli(capsys, "speed-scan", "--n", "4", "--target", "0",
+                         "--out", str(out), "--svg")
+    assert code == 0
+    assert list(csv.DictReader(out.read_text().splitlines())) == []
+    svg = (tmp_path / "scan.csv.svg").read_text()
+    assert svg.startswith("<svg") and "<line" in svg and "<circle" not in svg
+    manifest = json.loads((tmp_path / "scan.csv.manifest.json").read_text())
+    assert [o["path"] for o in manifest["outputs"]] == [str(out), str(out) + ".svg"]
+
+
+@pytest.mark.parametrize("model", ["power", "linear"])
+def test_fit_rejects_non_finite_infidelity(tmp_path, capsys, model):
+    sweep = tmp_path / "sweep.csv"
+    rows = [{"n": n, "sigma_c": s, "mean_infidelity": 0.01 * n * s}
+            for n, s in ((10, 0.05), (20, 0.1), (40, 0.15), (80, 0.2))]
+    rows[2]["mean_infidelity"] = "nan"
+    _write_sweep(sweep, rows)
+    code, out, err = run_cli(capsys, "fit", "--input", str(sweep), "--model", model)
+    assert code == 2
+    assert out == ""
+    assert_usage_error(err, "fit", "mean_infidelity")
+
+
+@pytest.mark.parametrize("model,column", [
+    ("power", "n"), ("power", "mean_infidelity"),
+    ("linear", "sigma_c"), ("linear", "mean_infidelity"),
+])
+def test_fit_names_a_missing_column(tmp_path, capsys, model, column):
+    sweep = tmp_path / "sweep.csv"
+    _write_sweep(sweep, POWER_ROWS, fields=[f for f in SWEEP_FIELDS if f != column])
+    code, _, err = run_cli(capsys, "fit", "--input", str(sweep), "--model", model)
+    assert code == 2
+    assert_usage_error(err, "fit", repr(column))
+
+
+def test_fit_names_a_non_numeric_cell(tmp_path, capsys):
+    sweep = tmp_path / "sweep.csv"
+    rows = [dict(r) for r in POWER_ROWS]
+    rows[1]["n"] = "twenty"
+    _write_sweep(sweep, rows)
+    code, _, err = run_cli(capsys, "fit", "--input", str(sweep), "--model", "power")
+    assert code == 2
+    assert_usage_error(err, "fit", "'n'")
+
+
+def test_fit_empty_csv_needs_three_points(tmp_path, capsys):
+    sweep = tmp_path / "empty.csv"
+    _write_sweep(sweep, [])
+    code, _, err = run_cli(capsys, "fit", "--input", str(sweep), "--model", "power")
+    assert code == 2
+    assert_usage_error(err, "fit", "needs >= 3 points, got 0")
+
+
+@pytest.mark.parametrize("flag", ["--n", "--sigma-c", "--sigma-f"])
+def test_noise_rejects_empty_comma_list(tmp_path, capsys, flag):
+    argv = ["noise", "--trials", "2", f"{flag}=,"]
+    if flag != "--n":
+        argv += ["--n", "5"]
+    out = tmp_path / "sweep.csv"
+    code, stdout, err = run_cli(capsys, *argv, "--out", str(out), "--svg")
+    assert code == 2
+    assert stdout == ""
+    assert_usage_error(err, "noise", flag)
+    assert not out.exists()
+
+
+def test_qb_check_unsupported_case_message(capsys):
+    code, out, err = run_cli(capsys, "qb-check", "--case", "3", "--n", "8")
+    assert code == 3
+    assert out == ""
+    assert_usage_error(err, "qb-check", "stationary")
+
+
+@pytest.mark.parametrize("argv", [
+    ("fit", "--input", "{tmp}/missing.csv", "--model", "power"),
+    ("case-table", "--n", "8", "--out", "{tmp}/missing/table.csv"),
+])
+def test_os_errors_exit_with_usage_code(tmp_path, capsys, argv):
+    argv = [a.format(tmp=tmp_path) for a in argv]
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert_usage_error(err, argv[0], "missing")

@@ -251,3 +251,17 @@ def test_fit_linear_exact_and_degenerate():
     degenerate = fit_linear([(0.1, 1.0), (0.1, 2.0), (0.1, 3.0)])
     assert degenerate.degenerate
     assert degenerate.to_json_dict()["model"] == "linear"
+
+
+@pytest.mark.parametrize("fit", [fit_power_law, fit_linear])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_fits_reject_non_finite_points(fit, bad):
+    good = [(10.0, 0.3), (20.0, 0.2), (40.0, 0.15), (80.0, 0.1)]
+    for k in range(len(good)):
+        for axis in (0, 1):
+            pts = [list(p) for p in good]
+            pts[k][axis] = bad
+            with pytest.raises(InvalidSizeError, match="finite"):
+                fit(pts)
+    with pytest.raises(InvalidSizeError, match="needs >= 3 points, got 0"):
+        fit([])

@@ -349,6 +349,24 @@ def test_non_finite_time_rejected(t):
         lr_commutator_check(model, t)
 
 
+@pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("n", [8, DENSE_MAX_N, DENSE_MAX_N + 36])
+def test_evolve_source_rejects_non_finite_time(n, t):
+    h, _ = _noisy_real(n, 0.1)
+    for mat in (h, h.astype(complex), _random_hermitian(n, 4)):
+        with pytest.raises(InvalidSizeError, match="time"):
+            evolve_source(mat, t)
+
+
+@pytest.mark.parametrize("dt", [np.nan, np.inf, -np.inf])
+def test_schedule_rejects_non_finite_duration(dt):
+    h = _sector(np.diag([1.0, -1.0, 0.0]))
+    with pytest.raises(GridMismatchError, match="finite"):
+        ControlSchedule(segments=((dt, h),))
+    with pytest.raises(GridMismatchError, match="finite"):
+        ControlSchedule(segments=((0.5, h), (dt, h)))
+
+
 def test_negative_time_runs_backwards():
     model = build_h_opt(4, 1.0)
     full = project_full_space(model)
