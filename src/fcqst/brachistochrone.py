@@ -67,7 +67,6 @@ class CaseSpec:
     zero_multipliers: frozenset[str]
     zero_slacks: frozenset[str]
     has_minimum: bool
-    min_time_label: str
 
     def __post_init__(self):
         labels = {"1A", "AN", "1N"}
@@ -77,15 +76,14 @@ class CaseSpec:
 
 
 CASE_TABLE: tuple[CaseSpec, ...] = (
-    CaseSpec(1, frozenset({"1A", "AN", "1N"}), frozenset(), False, "none"),
-    CaseSpec(2, frozenset({"AN", "1N"}), frozenset({"1A"}), False, "none"),
-    CaseSpec(3, frozenset({"1A", "1N"}), frozenset({"AN"}), False, "none"),
-    CaseSpec(4, frozenset({"AN"}), frozenset({"1A", "1N"}), False, "none"),
-    CaseSpec(5, frozenset({"1A"}), frozenset({"AN", "1N"}), False, "none"),
-    CaseSpec(6, frozenset({"1A", "AN"}), frozenset({"1N"}), True, "pi/(2 j0)"),
-    CaseSpec(7, frozenset({"1N"}), frozenset({"1A", "AN"}), True,
-             "pi/sqrt(2(n-2) j0^2 + 4 jbar^2)"),
-    CaseSpec(8, frozenset(), frozenset({"1A", "AN", "1N"}), True, "pi/(j0 sqrt(2 n))"),
+    CaseSpec(1, frozenset({"1A", "AN", "1N"}), frozenset(), False),
+    CaseSpec(2, frozenset({"AN", "1N"}), frozenset({"1A"}), False),
+    CaseSpec(3, frozenset({"1A", "1N"}), frozenset({"AN"}), False),
+    CaseSpec(4, frozenset({"AN"}), frozenset({"1A", "1N"}), False),
+    CaseSpec(5, frozenset({"1A"}), frozenset({"AN", "1N"}), False),
+    CaseSpec(6, frozenset({"1A", "AN"}), frozenset({"1N"}), True),
+    CaseSpec(7, frozenset({"1N"}), frozenset({"1A", "AN"}), True),
+    CaseSpec(8, frozenset(), frozenset({"1A", "AN", "1N"}), True),
 )
 
 

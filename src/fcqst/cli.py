@@ -165,7 +165,8 @@ def cmd_speed_scan(args) -> int:
     fid_target = 1.0 - args.target if args.target > 0 else 0.0
     result = min_time_bisection(args.n, args.j0, fid_target, args.time_tol,
                                 n_segments=args.segments, restarts=args.restarts,
-                                seed=args.seed, real_couplings=args.real_couplings)
+                                seed=args.seed,
+                                controls="real" if args.real_couplings else "complex")
     rows = [{
         "T": f"{s.total_time:.12g}", "best_fidelity": f"{s.best_fidelity:.15g}",
         "evaluations": s.evaluations, "restarts_hit_bound": s.restarts_hit_bound,

@@ -227,13 +227,10 @@ def fit_power_law(points) -> FitResult:
     x, y = _fit_points(points, "power-law")
     if (x <= 0).any() or (y <= 0).any():
         raise InvalidSizeError("power-law fit needs positive coordinates")
-    lx, ly = np.log(x), np.log(y)
-    if np.ptp(lx) == 0.0:
-        return FitResult(model="power", params=(0.0, float(np.exp(ly.mean()))),
-                         r2=0.0, degenerate=True)
-    exponent, logpre = np.polyfit(lx, ly, 1)
-    r2 = _r_squared(ly, exponent * lx + logpre)
-    return FitResult(model="power", params=(float(exponent), float(np.exp(logpre))), r2=r2)
+    line = fit_linear(zip(np.log(x), np.log(y)))
+    exponent, logpre = line.params
+    return FitResult(model="power", params=(exponent, float(np.exp(logpre))), r2=line.r2,
+                     degenerate=line.degenerate)
 
 
 def fit_linear(points) -> FitResult:

@@ -6,12 +6,13 @@ projected back inside the amplitude bounds after each step.  Bisection over
 the total time then maps the shortest duration at which a target fidelity
 becomes reachable.
 
-Three control classes can be searched.  The default is complex: each
-coupling is a point in its disc, so any loop flux arg(j1a jan conj(j1n)) is
-available.  ``real_couplings`` restricts the couplings to real values of
-either sign with free real diagonals (real XY couplings plus free
-single-qubit fields): the time-reversal symmetric class, whose loop flux is
-0 or pi.  ``real_symmetric`` narrows that further to j1a = jan with
+Three control classes can be searched, each named by one key of
+``CONTROL_CLASSES`` and passed as ``controls``.  The default, "complex",
+makes each coupling a point in its disc, so any loop flux
+arg(j1a jan conj(j1n)) is available.  "real" restricts the couplings to
+real values of either sign with free real diagonals (real XY couplings plus
+free single-qubit fields): the time-reversal symmetric class, whose loop
+flux is 0 or pi.  "real_symmetric" narrows that further to j1a = jan with
 d1 = dn = 0.  Each class is one row of ``CONTROL_CLASSES``, its parameter
 layout, which projection, expansion and random starts all walk.  Which
 subclass the paper's bound pi/(j0 sqrt(2 n)) refers to is not settled by
@@ -56,9 +57,27 @@ CONTROL_CLASSES = {
 }
 
 
+def _control_class(controls: str):
+    """The ``CONTROL_CLASSES`` row named by ``controls``; an unknown key raises."""
+    try:
+        return CONTROL_CLASSES[controls]
+    except KeyError:
+        raise InvalidSizeError(f"controls must be one of {', '.join(CONTROL_CLASSES)}, "
+                               f"got {controls!r}") from None
+
+
+def _require_total_time(total_time: float) -> None:
+    if not (math.isfinite(total_time) and total_time >= 0):
+        raise InvalidSizeError(f"total_time must be finite and nonnegative, got {total_time}")
+
+
 @dataclass(frozen=True)
 class PulseParams:
-    """Piecewise-constant control over uniform segments of a fixed total time."""
+    """Piecewise-constant control over uniform segments of a fixed total time.
+
+    Construction rejects an invalid n or j0, a non-finite or negative total
+    time, non-finite couplings and non-real or non-finite diagonals.
+    """
 
     n: int
     j0: float
@@ -71,12 +90,17 @@ class PulseParams:
     dn: np.ndarray
 
     def __post_init__(self):
+        require_transfer_size(self.n, self.j0)
+        _require_total_time(self.total_time)
         k = len(self.j1a)
         for name in ("jan", "j1n", "d1", "da", "dn"):
             if len(getattr(self, name)) != k:
                 raise InvalidSizeError("per-segment arrays must share one length")
-        for name, arr in (("j1a", self.j1a), ("jan", self.jan), ("j1n", self.j1n)):
-            object.__setattr__(self, name, np.asarray(arr, dtype=complex))
+        for name in ("j1a", "jan", "j1n"):
+            arr = np.asarray(getattr(self, name), dtype=complex)
+            if not np.isfinite(arr).all():
+                raise InvalidSizeError(f"coupling {name} must be finite")
+            object.__setattr__(self, name, arr)
         for name in ("d1", "da", "dn"):
             arr = np.asarray(getattr(self, name))
             if not (np.isrealobj(arr) and np.isfinite(arr).all()):
@@ -103,8 +127,11 @@ class PulseParams:
 
 @dataclass(frozen=True)
 class SearchResult:
+    """Best transfer found at one total time; comparisons skip ``best_pulse``."""
+
+    total_time: float
     best_fidelity: float
-    best_pulse: PulseParams
+    best_pulse: PulseParams = field(compare=False)
     evaluations: int
     seed: int
     restarts_hit_bound: int = 0
@@ -119,15 +146,6 @@ def _project_disc(values: np.ndarray, bound: float) -> np.ndarray:
     return out
 
 
-def _controls(real_symmetric: bool, real_couplings: bool) -> str:
-    """Name of the control class picked by the public boolean switches."""
-    if real_symmetric and real_couplings:
-        raise InvalidSizeError("choose at most one of real_symmetric and real_couplings")
-    if real_symmetric:
-        return "real_symmetric"
-    return "real" if real_couplings else "complex"
-
-
 class _Problem:
     """Vectorized fidelity of the parameter vector, with bound projection.
 
@@ -140,7 +158,7 @@ class _Problem:
         self.total_time = total_time
         self.k = n_segments
         self.controls = controls
-        self.couplings, self.diagonals = CONTROL_CLASSES[controls]
+        self.couplings, self.diagonals = _control_class(controls)
         self.bounds = coupling_bounds(n, j0)  # j1a, jan, j1n
         columns = [c for pair in self.couplings for c in pair] + list(self.diagonals)
         self.per_seg = 1 + max(c for c in columns if c is not None)
@@ -257,8 +275,8 @@ def _ascend(problem: _Problem, x0: np.ndarray, max_iters: int,
 
 
 def optimize_pulse(n: int, j0: float, total_time: float, n_segments: int,
-                   restarts: int, seed: int, *, real_symmetric: bool = False,
-                   real_couplings: bool = False, max_iters: int = 200,
+                   restarts: int, seed: int, *, controls: str = "complex",
+                   max_iters: int = 200,
                    stop_fidelity: float | None = None) -> SearchResult:
     """Maximize transfer fidelity over bounded piecewise-constant controls.
 
@@ -267,23 +285,21 @@ def optimize_pulse(n: int, j0: float, total_time: float, n_segments: int,
     result wins, ties broken by the lower restart index.  Deterministic for
     fixed arguments and seed.
 
-    The default searches complex couplings.  ``real_couplings`` searches
-    real couplings of either sign with free real diagonals (loop flux 0 or
-    pi); ``real_symmetric`` the narrower j1a = jan, d1 = dn = 0 class.  At
-    most one of the two may be set.
+    ``controls`` names the searched class, a key of ``CONTROL_CLASSES``:
+    "complex" (the default) searches complex couplings, "real" real
+    couplings of either sign with free real diagonals (loop flux 0 or pi),
+    "real_symmetric" the narrower j1a = jan, d1 = dn = 0 class.
     """
     require_transfer_size(n, j0)
     if n_segments < 1 or restarts < 1:
         raise InvalidSizeError("need n_segments >= 1, restarts >= 1")
-    if not (math.isfinite(total_time) and total_time >= 0):
-        raise InvalidSizeError(f"total_time must be finite and nonnegative, got {total_time}")
-    problem = _Problem(n, j0, total_time, n_segments,
-                       _controls(real_symmetric, real_couplings))
+    _require_total_time(total_time)
+    problem = _Problem(n, j0, total_time, n_segments, controls)
     if total_time == 0:
         # U = I at zero time regardless of the pulse
         x = problem.project(np.zeros(problem.dim))
-        return SearchResult(best_fidelity=0.0, best_pulse=problem.pulse(x),
-                            evaluations=1, seed=seed)
+        return SearchResult(total_time=total_time, best_fidelity=0.0,
+                            best_pulse=problem.pulse(x), evaluations=1, seed=seed)
 
     best_x, best_f, total_evals, hit_bound = None, -1.0, 0, 0
     for restart in range(restarts):
@@ -298,7 +314,7 @@ def optimize_pulse(n: int, j0: float, total_time: float, n_segments: int,
         if stop_fidelity is not None and best_f >= stop_fidelity:
             break
     # clamped into [0, 1] against unitarity roundoff
-    return SearchResult(best_fidelity=min(best_f, 1.0),
+    return SearchResult(total_time=total_time, best_fidelity=min(best_f, 1.0),
                         best_pulse=problem.pulse(best_x),
                         evaluations=total_evals, seed=seed, restarts_hit_bound=hit_bound)
 
@@ -311,39 +327,30 @@ def pulse_to_schedule(pulse: PulseParams) -> ControlSchedule:
 
 
 @dataclass(frozen=True)
-class BisectionSample:
-    """One bisection probe; ``best_pulse`` is left out of comparisons."""
-
-    total_time: float
-    best_fidelity: float
-    evaluations: int
-    restarts_hit_bound: int
-    best_pulse: PulseParams = field(compare=False)
-
-
-@dataclass(frozen=True)
 class BisectionResult:
     t_star: float
     fid_target: float
-    samples: tuple[BisectionSample, ...]
+    samples: tuple[SearchResult, ...]
     monotonic_warning: bool
 
 
 def min_time_bisection(n: int, j0: float, fid_target: float, time_tol: float,
                        *, n_segments: int = 8, restarts: int = 8, seed: int = 0,
-                       max_iters: int = 150,
-                       real_couplings: bool = False) -> BisectionResult:
+                       max_iters: int = 150, controls: str = "complex") -> BisectionResult:
     """Smallest total time at which the optimizer reaches ``fid_target``.
 
     Bisects on [0, 2 pi / (j0 sqrt(2 n))], i.e. up to twice the closed-form
     reference.  Achievable fidelity is assumed monotone in the total time;
     the sampled points are checked and a violation beyond 1e-6 (an optimizer
-    failure, not physics) sets ``monotonic_warning``.  ``real_couplings`` is
-    passed on to :func:`optimize_pulse`.
+    failure, not physics) sets ``monotonic_warning``.  Bisection stops once
+    the bracket is no wider than ``time_tol``, or once its ends are adjacent
+    floats.  ``controls``, a key of ``CONTROL_CLASSES``, is passed on to
+    :func:`optimize_pulse`; ``samples`` holds each probe's own result.
     """
     require_positive_j0(j0)
-    if not time_tol > 0:
-        raise InvalidSizeError("time_tol must be positive")
+    _control_class(controls)  # an unknown class raises before the trivial return
+    if not (math.isfinite(time_tol) and time_tol > 0):
+        raise InvalidSizeError(f"time_tol must be finite and positive, got {time_tol}")
     if fid_target <= 0.0:
         return BisectionResult(t_star=0.0, fid_target=fid_target, samples=(),
                                monotonic_warning=False)
@@ -355,12 +362,9 @@ def min_time_bisection(n: int, j0: float, fid_target: float, time_tol: float,
 
     def probe(t: float) -> bool:
         res = optimize_pulse(n, j0, t, n_segments, restarts, seed,
-                             real_couplings=real_couplings,
-                             max_iters=max_iters, stop_fidelity=fid_target)
-        samples.append(BisectionSample(total_time=t, best_fidelity=res.best_fidelity,
-                                       evaluations=res.evaluations,
-                                       restarts_hit_bound=res.restarts_hit_bound,
-                                       best_pulse=res.best_pulse))
+                             controls=controls, max_iters=max_iters,
+                             stop_fidelity=fid_target)
+        samples.append(res)
         return res.best_fidelity >= fid_target
 
     lo, hi = 0.0, 2.0 * minimum_transfer_time(n, j0)
@@ -369,6 +373,8 @@ def min_time_bisection(n: int, j0: float, fid_target: float, time_tol: float,
                                samples=tuple(samples), monotonic_warning=True)
     while hi - lo > time_tol:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
         if probe(mid):
             hi = mid
         else:

@@ -4,14 +4,16 @@ Each test prints one ``ACCEPTANCE <k> <PASS|FAIL>`` line (visible with
 ``pytest -s`` and in failure output) and asserts both the quantitative
 criterion and its runtime budget.
 
-Criterion 10 checks the speed limit on real couplings of either sign
-under their amplitude bounds, with free real single-qubit fields: the
-time-reversal symmetric class, whose loop flux arg(j1a jan conj(j1n)) is
-0 or pi.  The paper proves the bound on a subclass it does not name in its
-abstract; this class is the repository's reading of it.  On that class the
-search confirms pi/(j0 sqrt(2n)) empirically.  The complex class cannot be
-meant: a loop flux of -pi/2 beats the reference, at n = 3 in closed form
-through the chiral triangle (unit transfer at 0.9428 of the reference).
+Criterion 10 checks the speed limit on the "real" control class
+(``controls="real"``, a key of ``speed_search.CONTROL_CLASSES``): real
+couplings of either sign under their amplitude bounds, with free real
+single-qubit fields; the time-reversal symmetric class, whose loop flux
+arg(j1a jan conj(j1n)) is 0 or pi.  The paper proves the bound on a
+subclass it does not name in its abstract; this class is the repository's
+reading of it.  On that class the search confirms pi/(j0 sqrt(2n))
+empirically.  The complex class cannot be meant: a loop flux of -pi/2
+beats the reference, at n = 3 in closed form through the chiral triangle
+(unit transfer at 0.9428 of the reference).
 test_criterion_10_counterexample_documentation pins that fact.
 """
 
@@ -255,7 +257,7 @@ def test_criterion_09_scaling_fits():
 def test_criterion_10_empirical_speed_limit():
     """The speed limit holds empirically on the real-coupling control class.
 
-    The search runs with ``real_couplings=True``: real j1a, jan and j1n of
+    The search runs with ``controls="real"``: real j1a, jan and j1n of
     either sign, bounded by sqrt(n-2) j0, sqrt(n-2) j0 and j0, with free real
     diagonals d1, da and dn (real XY couplings plus free single-qubit
     fields; loop flux 0 or pi).  This is the repository's reading of the
@@ -272,7 +274,7 @@ def test_criterion_10_empirical_speed_limit():
     for n in (3, 4):
         ref = minimum_transfer_time(n, 1.0)
         res = min_time_bisection(n, 1.0, 1.0 - 1e-6, 2e-3, n_segments=8,
-                                 restarts=8, seed=7, max_iters=250, real_couplings=True)
+                                 restarts=8, seed=7, max_iters=250, controls="real")
         gaps[n] = (res.t_star - ref) / ref
         pulses += [(n, s.best_pulse) for s in res.samples]
 
@@ -280,7 +282,7 @@ def test_criterion_10_empirical_speed_limit():
     for n in (3, 4):
         t = 0.97 * minimum_transfer_time(n, 1.0)
         res = optimize_pulse(n, 1.0, t, 8, restarts=32, seed=11, max_iters=200,
-                             real_couplings=True)
+                             controls="real")
         over_runs[n] = res.best_fidelity
         pulses.append((n, res.best_pulse))
 
@@ -309,9 +311,9 @@ def test_criterion_10_empirical_speed_limit():
 def test_criterion_10_counterexample_documentation():
     """Complex coupling phases beat the reference time; pinned as a test.
 
-    The complex search (default mode) reaches unit fidelity to 1e-9 at 0.95
-    of the reference time with an 8-segment pulse inside every amplitude
-    bound; at 0.90 it stays measurably short of 1.
+    The complex search (the default ``controls="complex"``) reaches unit
+    fidelity to 1e-9 at 0.95 of the reference time with an 8-segment pulse
+    inside every amplitude bound; at 0.90 it stays measurably short of 1.
 
     The closed form behind it is the chiral triangle (Roushan et al., Nat.
     Phys. 13, 146 (2017)): at n = 3 the constant Hamiltonian with

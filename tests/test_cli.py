@@ -220,12 +220,12 @@ def test_speed_scan_trivial_target(tmp_path, capsys):
 def test_speed_scan_real_couplings_reaches_the_search(tmp_path, capsys, monkeypatch, flag):
     from fcqst import speed_search
 
-    flags, imag_parts = [], []
+    classes, imag_parts = [], []
     real_optimize = speed_search.optimize_pulse
 
-    def spy(*args, real_couplings=False, **kwargs):
-        res = real_optimize(*args, real_couplings=real_couplings, **kwargs)
-        flags.append(real_couplings)
+    def spy(*args, controls="complex", **kwargs):
+        res = real_optimize(*args, controls=controls, **kwargs)
+        classes.append(controls)
         p = res.best_pulse
         imag_parts.append(max(np.abs(c.imag).max() for c in (p.j1a, p.jan, p.j1n)))
         return res
@@ -238,7 +238,7 @@ def test_speed_scan_real_couplings_reaches_the_search(tmp_path, capsys, monkeypa
         argv.append("--real-couplings")
     code, _, err = run_cli(capsys, *argv)
     assert code == 0
-    assert flags and set(flags) == {flag}
+    assert classes and set(classes) == {"real" if flag else "complex"}
     # the real class returns real couplings; the complex one does not
     assert bool(max(imag_parts) == 0.0) is flag
     assert json.loads(err.splitlines()[-1])["real_couplings"] is flag
@@ -346,6 +346,17 @@ def test_speed_scan_rejects_bad_target(tmp_path, capsys, target):
     assert code == 2
     assert stdout == ""
     assert_usage_error(err, "speed-scan", "--target")
+    assert not out.exists()
+
+
+def test_speed_scan_rejects_infinite_time_tol(tmp_path, capsys):
+    # used to exit 0 with t_star at twice the reference after one probe
+    out = tmp_path / "scan.csv"
+    code, stdout, err = run_cli(capsys, "speed-scan", "--n", "3", "--target", "1e-3",
+                                "--time-tol", "inf", "--out", str(out))
+    assert code == 2
+    assert stdout == ""
+    assert_usage_error(err, "speed-scan", "time_tol")
     assert not out.exists()
 
 

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from fcqst import min_time_bisection, minimum_transfer_time, optimize_pulse, transfer_fidelity
+from fcqst import speed_search
 from fcqst.exceptions import InvalidSizeError
-from fcqst.speed_search import PulseParams, _Problem, pulse_to_schedule
+from fcqst.speed_search import CONTROL_CLASSES, PulseParams, _Problem, pulse_to_schedule
 from fcqst.propagator import evolve_schedule
 from fcqst.rng import KeyedStream
 from fcqst.spin_model import EFFECTIVE3
@@ -18,7 +19,7 @@ def test_zero_time_gives_zero_fidelity():
 def test_recovers_optimal_constant_pulse():
     n = 8
     t = minimum_transfer_time(n, 1.0)
-    res = optimize_pulse(n, 1.0, t, 1, restarts=6, seed=2024, real_symmetric=True,
+    res = optimize_pulse(n, 1.0, t, 1, restarts=6, seed=2024, controls="real_symmetric",
                          max_iters=300)
     assert res.best_fidelity >= 1.0 - 1e-6
     pulse = res.best_pulse
@@ -34,17 +35,13 @@ def test_recovers_optimal_constant_pulse():
     assert abs(da + 3.0) < 0.15
 
 
-# the complex and the real-coupling search modes run through the same checks;
-# a loop rather than a parametrization keeps each test's id stable
-SEARCH_MODES = (False, True)  # real_couplings
-# every control class, by the optimize_pulse flags that select it
-CLASS_FLAGS = {"complex": {}, "real": {"real_couplings": True},
-               "real_symmetric": {"real_symmetric": True}}
+# every control class runs through the same checks; a loop over the keys of
+# CONTROL_CLASSES rather than a parametrization keeps each test's id stable
 
 
 def test_deterministic_given_seed():
-    for flags in CLASS_FLAGS.values():
-        kwargs = dict(n_segments=3, restarts=3, seed=99, max_iters=25, **flags)
+    for controls in CONTROL_CLASSES:
+        kwargs = dict(n_segments=3, restarts=3, seed=99, max_iters=25, controls=controls)
         a = optimize_pulse(4, 1.0, 0.8, **kwargs)
         b = optimize_pulse(4, 1.0, 0.8, **kwargs)
         assert a.best_fidelity == b.best_fidelity
@@ -54,7 +51,7 @@ def test_deterministic_given_seed():
 
 
 def test_projection_idempotent_never_grows():
-    for controls in CLASS_FLAGS:
+    for controls in CONTROL_CLASSES:
         problem = _Problem(6, 1.0, 1.0, 4, controls)
         gen = np.random.default_rng(0)
         for _ in range(25):
@@ -77,9 +74,9 @@ def test_projection_idempotent_never_grows():
 
 
 def test_result_consistent_with_independent_propagation():
-    for real_couplings in SEARCH_MODES:
+    for controls in CONTROL_CLASSES:
         res = optimize_pulse(5, 1.0, 0.9, 3, restarts=2, seed=7, max_iters=40,
-                             real_couplings=real_couplings)
+                             controls=controls)
         u = evolve_schedule(pulse_to_schedule(res.best_pulse))
         recomputed = transfer_fidelity(u, EFFECTIVE3)
         assert res.best_fidelity <= recomputed + 1e-12
@@ -107,8 +104,13 @@ def test_invalid_arguments():
         optimize_pulse(4, 1.0, -1.0, 4, 1, seed=0)
     with pytest.raises(InvalidSizeError):
         optimize_pulse(4, 1.0, 1.0, 0, 1, seed=0)
-    with pytest.raises(InvalidSizeError):
-        optimize_pulse(4, 1.0, 1.0, 4, 1, seed=0, real_symmetric=True, real_couplings=True)
+    # an unknown control class names the valid keys, from both entry points,
+    # also at the bisection's trivial target
+    for call in (lambda: optimize_pulse(4, 1.0, 1.0, 4, 1, seed=0, controls="hermitian"),
+                 lambda: min_time_bisection(4, 1.0, 0.99, 1e-2, controls="hermitian"),
+                 lambda: min_time_bisection(4, 1.0, 0.0, 1e-2, controls="hermitian")):
+        with pytest.raises(InvalidSizeError, match="complex, real, real_symmetric"):
+            call()
     # j0 = -1 used to run and return 0.516, and NaN raised a LinAlgError
     for j0 in (-1.0, 0.0, np.nan, np.inf):
         with pytest.raises(InvalidSizeError, match="j0"):
@@ -126,6 +128,15 @@ def test_pulse_rejects_non_real_or_non_finite_diagonals():
         for bad in (np.array([1 + 1j]), [np.nan], [np.inf]):
             with pytest.raises(InvalidSizeError, match=name):
                 PulseParams(**{**base, name: bad})
+    # non-finite couplings, a bad size or scale and a bad total time are
+    # rejected too; a NaN coupling used to construct and report j1a: nan
+    bad_fields = [(name, bad) for name in ("j1a", "jan", "j1n")
+                  for bad in ([np.nan], [np.inf], [complex(1.0, np.nan)])]
+    bad_fields += [("n", 2), ("j0", np.nan), ("j0", 0.0), ("j0", -1.0),
+                   ("total_time", -1.0), ("total_time", np.nan), ("total_time", np.inf)]
+    for name, bad in bad_fields:
+        with pytest.raises(InvalidSizeError, match=name):
+            PulseParams(**{**base, name: bad})
 
 
 def test_bisection_rejects_invalid_coupling_scale():
@@ -153,14 +164,14 @@ def test_single_fidelity_is_the_batch_path():
 
 def test_bisection_samples_keep_their_pulses():
     res = min_time_bisection(3, 1.0, 1.0 - 1e-3, 0.1, n_segments=2, restarts=2,
-                             seed=4, max_iters=30, real_couplings=True)
+                             seed=4, max_iters=30, controls="real")
     assert res.samples
     for s in res.samples:
         assert s.best_pulse.total_time == s.total_time
         assert np.all(s.best_pulse.j1a.imag == 0.0)
     # the pulse takes no part in comparisons, so sample tuples still compare
     again = min_time_bisection(3, 1.0, 1.0 - 1e-3, 0.1, n_segments=2, restarts=2,
-                               seed=4, max_iters=30, real_couplings=True)
+                               seed=4, max_iters=30, controls="real")
     assert again.samples == res.samples
 
 
@@ -179,6 +190,27 @@ def test_bisection_rejects_weak_targets():
         min_time_bisection(4, 1.0, 0.99, -1.0)
     with pytest.raises(InvalidSizeError):
         min_time_bisection(4, 1.0, 0.99, np.nan)
+    # an infinite tolerance used to return t_star = 2 T_ref after one probe
+    with pytest.raises(InvalidSizeError, match="time_tol"):
+        min_time_bisection(4, 1.0, 0.99, np.inf)
+
+
+def test_bisection_ends_at_adjacent_floats(monkeypatch):
+    # a tolerance below the float spacing of the bracket used to probe the
+    # same time forever; the spy turns such a loop into a failure
+    real_optimize = speed_search.optimize_pulse
+    probes = []
+
+    def spy(*args, **kwargs):
+        probes.append(args[2])
+        assert len(probes) <= 64, "bisection did not end within 64 probes"
+        return real_optimize(*args, **kwargs)
+
+    monkeypatch.setattr(speed_search, "optimize_pulse", spy)
+    res = min_time_bisection(3, 1.0, 1.0 - 1e-3, 1e-300, n_segments=1, restarts=1)
+    assert [s.total_time for s in res.samples] == probes
+    failing = [s.total_time for s in res.samples if s.best_fidelity < res.fid_target]
+    assert max(failing) == np.nextafter(res.t_star, 0.0)
 
 
 def test_bisection_locates_transfer_window_coarsely():
