@@ -28,6 +28,7 @@ import numpy as np
 
 from .effective3 import Effective3, coupling_bounds, effective_matrices
 from .exceptions import BoundViolationError, GridMismatchError, InvalidSizeError, UnsupportedCaseError
+from .propagator import minimum_transfer_time
 from .spin_model import require_transfer_size
 
 
@@ -59,31 +60,28 @@ class QBMultipliers:
 class CaseSpec:
     """One row of the case catalog.
 
-    ``zero_multipliers`` and ``zero_slacks`` partition {"1A", "AN", "1N"}:
-    each constraint contributes exactly one vanishing quantity.
+    Each constraint in {"1A", "AN", "1N"} contributes exactly one vanishing
+    quantity: its multiplier if it is in ``zero_multipliers``, else its slack.
     """
 
     id: int
     zero_multipliers: frozenset[str]
-    zero_slacks: frozenset[str]
     has_minimum: bool
 
-    def __post_init__(self):
-        labels = {"1A", "AN", "1N"}
-        if (self.zero_multipliers | self.zero_slacks) != labels or (
-                self.zero_multipliers & self.zero_slacks):
-            raise InvalidSizeError(f"case {self.id} does not partition the constraints")
+    @property
+    def zero_slacks(self) -> frozenset[str]:
+        return frozenset({"1A", "AN", "1N"}) - self.zero_multipliers
 
 
 CASE_TABLE: tuple[CaseSpec, ...] = (
-    CaseSpec(1, frozenset({"1A", "AN", "1N"}), frozenset(), False),
-    CaseSpec(2, frozenset({"AN", "1N"}), frozenset({"1A"}), False),
-    CaseSpec(3, frozenset({"1A", "1N"}), frozenset({"AN"}), False),
-    CaseSpec(4, frozenset({"AN"}), frozenset({"1A", "1N"}), False),
-    CaseSpec(5, frozenset({"1A"}), frozenset({"AN", "1N"}), False),
-    CaseSpec(6, frozenset({"1A", "AN"}), frozenset({"1N"}), True),
-    CaseSpec(7, frozenset({"1N"}), frozenset({"1A", "AN"}), True),
-    CaseSpec(8, frozenset(), frozenset({"1A", "AN", "1N"}), True),
+    CaseSpec(1, frozenset({"1A", "AN", "1N"}), False),
+    CaseSpec(2, frozenset({"AN", "1N"}), False),
+    CaseSpec(3, frozenset({"1A", "1N"}), False),
+    CaseSpec(4, frozenset({"AN"}), False),
+    CaseSpec(5, frozenset({"1A"}), False),
+    CaseSpec(6, frozenset({"1A", "AN"}), True),
+    CaseSpec(7, frozenset({"1N"}), True),
+    CaseSpec(8, frozenset(), True),
 )
 
 
@@ -212,9 +210,8 @@ def case_stationary_solution(case_id: int, n: int, j0: float,
     """
     a, _, _ = coupling_bounds(n, j0)
     if case_id == 6:
-        h = Effective3(j1a=0.0, jan=0.0, j1n=j0 * np.exp(-1j * phi_1n))
         m = QBMultipliers(lam1n=1.0 / (2.0 * j0 * j0), s1a=a, san=a)
-        return h, m
+        return case_hamiltonian(6, n, j0, phi_1n=phi_1n), m
     if case_id in (7, 8):
         corner = j0 if case_id == 8 else float(j1n_bar if j1n_bar is not None else j0)
         m = stationary_multipliers(case_id, n, j0, j1n_bar=corner if case_id == 7 else None)
@@ -235,7 +232,7 @@ def case_minimum_time(case_id: int, n: int, j0: float,
     if case_id == 7:
         _require_case7_bar(j1n_bar, j0)
         return float(np.pi / np.sqrt(2.0 * (n - 2) * j0 * j0 + 4.0 * j1n_bar * j1n_bar))
-    return float(np.pi / (j0 * np.sqrt(2.0 * n)))
+    return float(minimum_transfer_time(n, j0))
 
 
 def case_hamiltonian(case_id: int, n: int, j0: float, *, phi_1n: float = 0.0,
@@ -303,8 +300,12 @@ def case_unitary(case_id: int, n: int, j0: float, t: float, *,
     Case 7: the mirror-symmetric family with free diagonal parameter c1a
     (default 4 |j1n_bar|, the minimal-time choice) and corner |j1n_bar|.
     Case 8: the saturated family on the ``sign`` branch, corner diagonal
-    3 sign j0; perfect transfer at t = pi/(j0 sqrt(2 n)).
+    3 sign j0; perfect transfer at t = pi/(j0 sqrt(2 n)).  A non-finite t or
+    phi_1n raises InvalidSizeError.
     """
+    for name, value in (("t", t), ("phi_1n", phi_1n)):
+        if not math.isfinite(value):
+            raise InvalidSizeError(f"{name} must be finite, got {value}")
     if case_id == 6:
         require_transfer_size(n, j0)
         ct, st = np.cos(j0 * t), np.sin(j0 * t)
@@ -347,8 +348,8 @@ def lemma_grid_scan(q: float, r: float, x_max: int) -> LemmaScanReport:
     The plus branch is skipped where its square root is negative.  The scan
     confirms numerically that the minimizer sits at x = 1.
     """
-    if q <= 0 or r < 0:
-        raise InvalidSizeError("need q > 0 and r >= 0")
+    if not (math.isfinite(q) and math.isfinite(r) and q > 0 and r >= 0):
+        raise InvalidSizeError(f"need finite q > 0 and r >= 0, got q={q}, r={r}")
     if x_max < 3:
         raise InvalidSizeError(f"x_max must be >= 3, got {x_max}")
     rows = []
@@ -373,7 +374,7 @@ def case_table_rows(n: int, j0: float, j1n_bar: float | None = None) -> list[dic
     jbar = j0 if j1n_bar is None else j1n_bar
     rows = []
     for spec in CASE_TABLE:
-        t = case_minimum_time(spec.id, n, j0, j1n_bar=jbar if spec.id == 7 else None)
+        t = case_minimum_time(spec.id, n, j0, j1n_bar=jbar)
         rows.append({
             "case_id": spec.id,
             "zero_multipliers": ",".join(sorted(spec.zero_multipliers)),

@@ -135,13 +135,12 @@ def cmd_qb_check(args) -> int:
         raise GridMismatchError(f"--grid must be a positive segment count, got {args.grid}")
     h, mult = brachistochrone.case_stationary_solution(
         args.case, args.n, args.j0, j1n_bar=args.j1n_bar)
-    jbar = args.j0 if args.j1n_bar is None else args.j1n_bar
-    t_min = brachistochrone.case_minimum_time(args.case, args.n, args.j0,
-                                              j1n_bar=jbar if args.case == 7 else None)
+    t_min = brachistochrone.case_minimum_time(args.case, args.n, args.j0, j1n_bar=h.j1n.real)
     dt = t_min / args.grid
     segments = [(dt, h)] * args.grid
     report = brachistochrone.qb_residuals(segments, [mult] * args.grid, args.n, args.j0)
-    reduces = args.case == 7 and abs(abs(jbar) - args.j0) <= 1e-12 * args.j0
+    reduces = args.case == 7 and mult == brachistochrone.stationary_multipliers(
+        8, args.n, args.j0)
     passed = report.max_residual <= QB_RESIDUAL_THRESHOLD
     out = {
         "case": args.case, "n": args.n, "j0": args.j0, "grid": args.grid,

@@ -98,12 +98,11 @@ def coupling_bounds(n: int, j0: float) -> tuple[float, float, float]:
     return collective, collective, float(j0)
 
 
-def _uniform_value(matrix: np.ndarray, rows: np.ndarray, cols: np.ndarray,
-                   what: str, tol: float):
-    """matrix[rows[0], cols[0]] if every matrix[rows, cols] is within tol of it,
+def _uniform_value(matrix: np.ndarray, rows: np.ndarray, cols: np.ndarray, what: str):
+    """matrix[rows[0], cols[0]] if every matrix[rows, cols] is within SYMMETRY_TOL of it,
     else a SymmetryError naming the first (0-based rows, cols) pair that is not."""
     values = matrix[rows, cols]
-    bad = np.flatnonzero(np.abs(values - values[:1]) > tol)
+    bad = np.flatnonzero(np.abs(values - values[:1]) > SYMMETRY_TOL)
     if bad.size:
         first, k = (int(rows[0]) + 1, int(cols[0]) + 1), bad[0]
         raise SymmetryError(f"{what} not uniform: {first} -> {values[0]}, "
@@ -111,7 +110,7 @@ def _uniform_value(matrix: np.ndarray, rows: np.ndarray, cols: np.ndarray,
     return values[0] if values.size else 0.0 + 0.0j
 
 
-def reduce_to_effective(model: SpinModel, tol: float = SYMMETRY_TOL) -> Effective3:
+def reduce_to_effective(model: SpinModel) -> Effective3:
     """Project a permutation-symmetric model onto the 3-level basis.
 
     Collective couplings pick up the sqrt(N-2) W-state enhancement; the
@@ -127,16 +126,16 @@ def reduce_to_effective(model: SpinModel, tol: float = SYMMETRY_TOL) -> Effectiv
     blocks = {"source-intermediate": (np.zeros(m, dtype=int), mids),
               "intermediate-target": (mids, np.full(m, n - 1)),
               "intermediate-intermediate": tuple(k + 1 for k in np.triu_indices(m, 1))}
-    j = {name: _uniform_value(model.couplings, *sites, f"{name} coupling", tol)
+    j = {name: _uniform_value(model.couplings, *sites, f"{name} coupling")
          for name, sites in blocks.items()}
-    if abs(j["intermediate-intermediate"].imag) > tol:
+    if abs(j["intermediate-intermediate"].imag) > SYMMETRY_TOL:
         # swapping two intermediates conjugates an oriented flip-flop term,
         # so only real couplings among them are permutation symmetric
         raise SymmetryError(f"intermediate-intermediate coupling must be real, "
                             f"got {j['intermediate-intermediate']}")
-    _uniform_value(np.diag(model.fields), mids, mids, "intermediate field", tol)
+    _uniform_value(np.diag(model.fields), mids, mids, "intermediate field")
     for name, sites in blocks.items():
-        _uniform_value(model.zz, *sites, f"{name} ZZ", tol)
+        _uniform_value(model.zz, *sites, f"{name} ZZ")
 
     h = project_single_excitation(model).entries
     w = np.zeros(n)
@@ -218,10 +217,10 @@ class TransferDecomposition:
     valid: bool
 
 
-def boundary_form_check(u: np.ndarray, tol: float = BOUNDARY_TOL) -> TransferDecomposition:
+def boundary_form_check(u: np.ndarray) -> TransferDecomposition:
     """Test a 3x3 unitary against the transfer boundary pattern.
 
-    ``valid`` is true iff |u11|, |u12|, |u23|, |u33| are all <= tol; given
+    ``valid`` is true iff |u11|, |u12|, |u23|, |u33| are all <= BOUNDARY_TOL; given
     unitarity, the moduli of the remaining entries then automatically fit
     the pattern, so the flag depends only on the zero structure.  Angles
     are extracted on the branch theta in [0, pi/2], phases in (-pi, pi];
@@ -234,11 +233,11 @@ def boundary_form_check(u: np.ndarray, tol: float = BOUNDARY_TOL) -> TransferDec
     if dev > UNITARITY_TOL:
         raise UnitarityError(f"input not unitary: deviation {dev:.3e}")
 
-    valid = max(abs(u[0, 0]), abs(u[0, 1]), abs(u[1, 2]), abs(u[2, 2])) <= tol
+    valid = max(abs(u[0, 0]), abs(u[0, 1]), abs(u[1, 2]), abs(u[2, 2])) <= BOUNDARY_TOL
     theta = float(np.arctan2(abs(u[2, 0]), abs(u[1, 0])))
-    phi = float(np.angle(u[0, 2])) if abs(u[0, 2]) > tol else 0.0
-    beta = float(np.angle(u[2, 0])) if abs(u[2, 0]) > tol else 0.0
-    alpha = float(-np.angle(u[1, 0])) if abs(u[1, 0]) > tol else 0.0
+    phi = float(np.angle(u[0, 2])) if abs(u[0, 2]) > BOUNDARY_TOL else 0.0
+    beta = float(np.angle(u[2, 0])) if abs(u[2, 0]) > BOUNDARY_TOL else 0.0
+    alpha = float(-np.angle(u[1, 0])) if abs(u[1, 0]) > BOUNDARY_TOL else 0.0
     return TransferDecomposition(theta=theta, alpha=alpha, beta=beta, phi=phi,
                                  valid=bool(valid))
 

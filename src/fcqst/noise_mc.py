@@ -33,7 +33,7 @@ from .spin_model import (
     SpinModel,
     hamiltonian_builder,
     project_single_excitation,
-    require_positive_j0,
+    require_transfer_size,
 )
 
 # per-trial scalar infidelities derived from the complex overlap F
@@ -65,7 +65,7 @@ class NoiseConfig:
             value = getattr(self, name)
             if not (math.isfinite(value) and value >= 0):
                 raise InvalidSizeError(f"{name} must be finite and nonnegative, got {value}")
-        require_positive_j0(self.j0)
+        require_transfer_size(self.n, self.j0)
         hamiltonian_builder(self.hamiltonian)
 
     def base_model(self) -> SpinModel:

@@ -41,7 +41,7 @@ from .spin_model import (
     SectorMatrix,
     SpinModel,
     project_full_space,
-    require_positive_j0,
+    require_transfer_size,
 )
 
 LR_MAX_QUBITS = 10
@@ -56,7 +56,7 @@ DENSE_MAX_N = 64
 
 def minimum_transfer_time(n: int, j0: float = 1.0) -> float:
     """Transfer time pi / (j0 sqrt(2 n)) of the named optimal constant protocols."""
-    require_positive_j0(j0)
+    require_transfer_size(n, j0)
     return np.pi / (j0 * np.sqrt(2.0 * n))
 
 
@@ -209,18 +209,6 @@ class ControlSchedule:
             if h.basis_tag != tag or h.dim != dim:
                 raise BasisError("all segments must share basis_tag and dimension")
         object.__setattr__(self, "segments", segs)
-
-    @property
-    def total_time(self) -> float:
-        return sum(dt for dt, _ in self.segments)
-
-    @property
-    def basis_tag(self) -> str:
-        return self.segments[0][1].basis_tag
-
-    @property
-    def dim(self) -> int:
-        return self.segments[0][1].dim
 
 
 def segment_propagators(mats: np.ndarray, durations) -> np.ndarray:

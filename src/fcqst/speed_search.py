@@ -44,7 +44,7 @@ from .propagator import (
     segment_propagators,
 )
 from .rng import KeyedStream
-from .spin_model import EFFECTIVE3, SectorMatrix, require_positive_j0, require_transfer_size
+from .spin_model import EFFECTIVE3, SectorMatrix, require_transfer_size
 
 # Per-segment parameter layout of each control class.  A row is
 # (couplings, diagonals): the columns (re, im) of j1a, jan and j1n, with im
@@ -64,6 +64,13 @@ def _control_class(controls: str):
     except KeyError:
         raise InvalidSizeError(f"controls must be one of {', '.join(CONTROL_CLASSES)}, "
                                f"got {controls!r}") from None
+
+
+def _require_search_size(n: int, j0: float, n_segments: int, restarts: int) -> None:
+    """Raise InvalidSizeError unless (n, j0) is a transfer size and both counts are >= 1."""
+    require_transfer_size(n, j0)
+    if n_segments < 1 or restarts < 1:
+        raise InvalidSizeError("need n_segments >= 1, restarts >= 1")
 
 
 def _require_total_time(total_time: float) -> None:
@@ -111,15 +118,11 @@ class PulseParams:
     def n_segments(self) -> int:
         return len(self.j1a)
 
-    @property
-    def bounds(self) -> tuple[float, float, float]:
-        return coupling_bounds(self.n, self.j0)
-
     def matrices(self) -> np.ndarray:
         return effective_matrices(self.j1a, self.jan, self.j1n, self.d1, self.da, self.dn)
 
     def bound_report(self) -> dict[str, float]:
-        ba, _, bn = self.bounds
+        ba, _, bn = coupling_bounds(self.n, self.j0)
         return {"j1a": float(np.abs(self.j1a).max() / ba),
                 "jan": float(np.abs(self.jan).max() / ba),
                 "j1n": float(np.abs(self.j1n).max() / bn)}
@@ -290,9 +293,7 @@ def optimize_pulse(n: int, j0: float, total_time: float, n_segments: int,
     couplings of either sign with free real diagonals (loop flux 0 or pi),
     "real_symmetric" the narrower j1a = jan, d1 = dn = 0 class.
     """
-    require_transfer_size(n, j0)
-    if n_segments < 1 or restarts < 1:
-        raise InvalidSizeError("need n_segments >= 1, restarts >= 1")
+    _require_search_size(n, j0, n_segments, restarts)
     _require_total_time(total_time)
     problem = _Problem(n, j0, total_time, n_segments, controls)
     if total_time == 0:
@@ -347,8 +348,9 @@ def min_time_bisection(n: int, j0: float, fid_target: float, time_tol: float,
     floats.  ``controls``, a key of ``CONTROL_CLASSES``, is passed on to
     :func:`optimize_pulse`; ``samples`` holds each probe's own result.
     """
-    require_positive_j0(j0)
-    _control_class(controls)  # an unknown class raises before the trivial return
+    # bad sizes and an unknown class raise before the trivial return
+    _require_search_size(n, j0, n_segments, restarts)
+    _control_class(controls)
     if not (math.isfinite(time_tol) and time_tol > 0):
         raise InvalidSizeError(f"time_tol must be finite and positive, got {time_tol}")
     if fid_target <= 0.0:

@@ -333,6 +333,16 @@ def test_case_unitary_case8_sign_branches(sign):
     assert abs(abs(case_unitary(8, n, j0, t_min, sign=sign)[2, 0]) - 1.0) < 1e-12
 
 
+@pytest.mark.parametrize("case_id,kwargs", [(6, {}), (7, {"j1n_bar": 0.5}), (8, {})])
+def test_case_unitary_rejects_non_finite_inputs(case_id, kwargs):
+    # used to return NaN matrices, or raise a RuntimeWarning at t = inf
+    for t in (np.nan, np.inf, -np.inf):
+        with pytest.raises(InvalidSizeError, match="t must be finite"):
+            case_unitary(case_id, 4, 1.0, t, **kwargs)
+    with pytest.raises(InvalidSizeError, match="phi_1n must be finite"):
+        case_unitary(case_id, 4, 1.0, 0.3, phi_1n=np.nan, **kwargs)
+
+
 def test_case_unitary_unsupported():
     for case_id in (1, 2, 3, 4, 5, 9):
         with pytest.raises(UnsupportedCaseError):
@@ -387,5 +397,9 @@ def test_lemma_grid_scan_monotone_along_branches():
 def test_lemma_grid_scan_guards():
     with pytest.raises(InvalidSizeError):
         lemma_grid_scan(0.0, 1.0, 10)
+    # NaN used to report the minimizer at x = 1 with a NaN minimum
+    for q, r in ((np.nan, 1.0), (1.0, np.nan), (np.inf, 1.0), (1.0, np.inf)):
+        with pytest.raises(InvalidSizeError, match="finite"):
+            lemma_grid_scan(q, r, 10)
     with pytest.raises(InvalidSizeError):
         lemma_grid_scan(1.0, 0.0, 2)

@@ -246,6 +246,24 @@ def test_speed_scan_real_couplings_reaches_the_search(tmp_path, capsys, monkeypa
     assert ("--real-couplings" in manifest["command"]) is flag
 
 
+@pytest.mark.parametrize("sizes", [["--n", "2"], ["--n", "4", "--segments", "0", "--restarts=-3"]])
+def test_speed_scan_rejects_bad_sizes_at_trivial_target(capsys, sizes):
+    # both used to exit 0 with t_star = 0
+    code, stdout, err = run_cli(capsys, "speed-scan", *sizes, "--target", "0")
+    assert code == 2
+    assert stdout == ""
+    assert_usage_error(err, "speed-scan", "n")
+
+
+@pytest.mark.parametrize("n", ["0", "-5", "2"])
+def test_noise_rejects_transfer_size_below_three(capsys, n):
+    # the noiseless shortcut used to exit 0 with mean_infidelity 0
+    code, stdout, err = run_cli(capsys, "noise", f"--n={n}", "--trials", "3")
+    assert code == 2
+    assert stdout == ""
+    assert_usage_error(err, "noise", "n >= 3")
+
+
 def test_speed_scan_rejects_bad_j0(capsys):
     code, _, err = run_cli(capsys, "speed-scan", "--n", "3", "--j0", "-1", "--target", "1e-3")
     assert code == 2

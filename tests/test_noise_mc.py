@@ -196,6 +196,10 @@ def test_noise_config_validation():
         for value in bad:
             with pytest.raises(InvalidSizeError):
                 NoiseConfig(n=10, **{field: value})
+    # the noiseless shortcut used to report zero infidelity without a model
+    for n in (2, 0, -1):
+        with pytest.raises(InvalidSizeError, match="n >= 3"):
+            NoiseConfig(n=n)
 
 
 def test_trial_overlaps_match_per_trial_dense_path():

@@ -250,6 +250,10 @@ def test_minimum_transfer_time_rejects_bad_j0():
     for j0 in (0.0, -1.0, np.nan, np.inf):
         with pytest.raises(InvalidSizeError, match="j0"):
             minimum_transfer_time(5, j0)
+    # n = 0 used to divide by zero and n = -1 to return NaN
+    for n in (2, 0, -1):
+        with pytest.raises(InvalidSizeError, match="n >= 3"):
+            minimum_transfer_time(n, 1.0)
 
 
 def test_lr_commutator_trivial_cases():
@@ -278,7 +282,8 @@ def test_lr_commutator_matches_full_propagator_form(builder, n):
     # the two-column commutator reproduces the whole gated 2^N propagator's
     # value bit for bit
     model = builder(n, 1.0) if builder else _random_model(n, 70 + n)
-    for t in (0.0, 0.37, minimum_transfer_time(n, 1.0)):
+    # pi / sqrt(2 n) written out, since minimum_transfer_time rejects n = 2
+    for t in (0.0, 0.37, np.pi / np.sqrt(2.0 * n)):
         assert lr_commutator_check(model, t) == lr_commutator_dense(model, t)
 
 

@@ -104,6 +104,8 @@ def test_invalid_arguments():
         optimize_pulse(4, 1.0, -1.0, 4, 1, seed=0)
     with pytest.raises(InvalidSizeError):
         optimize_pulse(4, 1.0, 1.0, 0, 1, seed=0)
+    with pytest.raises(InvalidSizeError):
+        optimize_pulse(4, 1.0, 1.0, 4, 0, seed=0)
     # an unknown control class names the valid keys, from both entry points,
     # also at the bisection's trivial target
     for call in (lambda: optimize_pulse(4, 1.0, 1.0, 4, 1, seed=0, controls="hermitian"),
@@ -193,6 +195,13 @@ def test_bisection_rejects_weak_targets():
     # an infinite tolerance used to return t_star = 2 T_ref after one probe
     with pytest.raises(InvalidSizeError, match="time_tol"):
         min_time_bisection(4, 1.0, 0.99, np.inf)
+    # bad sizes used to pass at the trivial target, which returned t_star = 0
+    for target in (0.0, 0.99):
+        with pytest.raises(InvalidSizeError, match="n >= 3"):
+            min_time_bisection(2, 1.0, target, 1e-3)
+        for sizes in ({"n_segments": 0}, {"restarts": -3}):
+            with pytest.raises(InvalidSizeError, match="restarts >= 1"):
+                min_time_bisection(4, 1.0, target, 1e-3, **sizes)
 
 
 def test_bisection_ends_at_adjacent_floats(monkeypatch):
