@@ -17,11 +17,12 @@ bounds, and recognizes the end-of-transfer unitary pattern
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import InvalidSizeError, SymmetryError, UnitarityError
+from .exceptions import GridMismatchError, InvalidSizeError, SymmetryError, UnitarityError
 from .reports import ConstraintReport, Violation
 from .spin_model import (EFFECTIVE3, SectorMatrix, SpinModel, project_single_excitation,
                          require_transfer_size)
@@ -152,10 +153,19 @@ def reduce_to_effective(model: SpinModel) -> Effective3:
     )
 
 
+def _duration(dt) -> float:
+    """A segment duration as a float; GridMismatchError unless finite and positive."""
+    dt = float(dt)
+    if not (math.isfinite(dt) and dt > 0):
+        raise GridMismatchError(f"segment durations must be finite and positive, got {dt}")
+    return dt
+
+
 def to_interaction_picture(segments, slices_per_segment: int = 1):
     """Interaction picture of the diagonal part of a piecewise schedule.
 
-    Input and output are sequences of (duration, Effective3).  Each output
+    Input and output are sequences of (duration, Effective3); every input
+    duration must be finite and positive.  Each output
     segment has zero diagonals; the couplings carry the accumulated phase
     differences exp(i (Theta_row - Theta_col)) with Theta_r(t) = int d_r dt,
     evaluated at slice midpoints.  Coupling magnitudes are unchanged.
@@ -169,8 +179,9 @@ def to_interaction_picture(segments, slices_per_segment: int = 1):
     out = []
     theta = np.zeros(3)
     for dt, h in segments:
+        dt = _duration(dt)
         dvec = np.array([h.d1, h.da, h.dn])
-        sub = float(dt) / slices_per_segment
+        sub = dt / slices_per_segment
         for s in range(slices_per_segment):
             mid = theta + dvec * sub * (s + 0.5)
             p1, pa, pn = np.exp(1j * mid)
@@ -189,7 +200,7 @@ def accumulated_diagonal_phase(segments) -> np.ndarray:
     """Theta(T) = int diag dt over a schedule; exp(-i Theta) is the frame."""
     theta = np.zeros(3)
     for dt, h in segments:
-        theta = theta + np.array([h.d1, h.da, h.dn]) * dt
+        theta = theta + np.array([h.d1, h.da, h.dn]) * _duration(dt)
     return theta
 
 

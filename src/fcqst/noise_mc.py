@@ -20,6 +20,8 @@ reports whichever one the caller tags.
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,6 +46,17 @@ INFIDELITY_DEFINITIONS = {
     "one_minus_abs_sq_overlap": lambda f: 1.0 - np.abs(f) ** 2,
 }
 DEFAULT_DEFINITION = "one_minus_abs_overlap"
+
+# Pair amplitudes drawn per rng call: bounds each worker's temporaries to
+# about 1.5 MB whatever n is.
+PAIR_BLOCK = 65536
+# Above this size the trials of an ensemble run on several threads; up to
+# it the GIL hand-offs around small numpy calls cost more than they save
+# (crossover measured near n = 256 on a 2-CPU Xeon, one BLAS thread).
+PARALLEL_MIN_N = 256
+# environment variables that cap the BLAS threads of one call, in the order
+# OpenBLAS and MKL read them
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS")
 
 
 @dataclass(frozen=True)
@@ -94,12 +107,6 @@ class NoiseTrialStats:
             raise InvalidSizeError("standard error must be nonnegative")
 
 
-def _upper_flat_index(n: int) -> np.ndarray:
-    """Flat indices of the strict upper triangle of an n x n matrix, row major."""
-    rows, cols = np.triu_indices(n, 1)
-    return rows * n + cols
-
-
 def _field_noise_diag(n: int, sigma_f: float, key: int):
     """Diagonal of eps1 sz_1 + epsN sz_N in the single-excitation sector."""
     if sigma_f == 0:
@@ -111,24 +118,48 @@ def _field_noise_diag(n: int, sigma_f: float, key: int):
     return diag, float(e1), float(en)
 
 
-def _noisy_matrix(cfg: NoiseConfig, base: np.ndarray, trial: int, upper: np.ndarray):
-    """Real noisy matrix of one trial and its field shifts (eps1, epsN).
+class _Sampler:
+    """Noisy matrices of one configuration, written into caller buffers.
 
-    ``base`` is the real single-excitation matrix of ``cfg.base_model()``
-    and ``upper`` is ``_upper_flat_index(cfg.n)``: one N(0, sigma_c) draw
-    per unordered pair fills the upper triangle of a zero matrix, which is
-    added to ``base`` with its transpose.
+    ``base`` is the real, exactly symmetric single-excitation matrix of
+    ``cfg.base_model()``.  Trial k draws one N(0, sigma_c) amplitude per
+    unordered pair from substream (seed, k, 0), in row-major order of the
+    strict upper triangle, and its field shifts from (seed, k, 1).
     """
-    n = cfg.n
-    pairs = np.zeros(n * n)
-    if cfg.sigma_c > 0:
-        key = rng.derive_key(cfg.seed, trial, 0)
-        pairs[upper] = cfg.sigma_c * rng.normals(key, 0, upper.size)
-    pairs = pairs.reshape(n, n)
-    h = base + pairs + pairs.T
-    diag, e1, en = _field_noise_diag(n, cfg.sigma_f, rng.derive_key(cfg.seed, trial, 1))
-    h[np.diag_indices(n)] += diag
-    return h, e1, en
+
+    def __init__(self, cfg: NoiseConfig, base: np.ndarray):
+        n = cfg.n
+        rows, cols = np.triu_indices(n, 1)
+        self.cfg = cfg
+        self.upper = rows * n + cols
+        self.lower = cols * n + rows
+        # "+ 0.0" turns a -0.0 entry into +0.0, as adding a zero noise term does
+        self.base_upper = base.ravel()[self.upper] + 0.0
+        self.base_diag = np.diag(base) + 0.0
+
+    def fill(self, out: np.ndarray, trial: int) -> tuple[float, float]:
+        """Overwrite every entry of the n x n array ``out`` with trial ``trial``; return (eps1, epsN).
+
+        Entry (i, j) and (j, i) of the off-diagonal get base_ij + sigma_c z_ij
+        and the diagonal gets base_ii plus the field shift.
+        """
+        cfg = self.cfg
+        flat = out.reshape(-1)
+        if cfg.sigma_c > 0:
+            key = rng.derive_key(cfg.seed, trial, 0)
+            for lo in range(0, self.upper.size, PAIR_BLOCK):
+                hi = min(lo + PAIR_BLOCK, self.upper.size)
+                pairs = rng.normals(key, lo, hi - lo)
+                pairs *= cfg.sigma_c
+                pairs += self.base_upper[lo:hi]
+                flat[self.upper[lo:hi]] = pairs
+                flat[self.lower[lo:hi]] = pairs
+        else:
+            flat[self.upper] = self.base_upper
+            flat[self.lower] = self.base_upper
+        diag, e1, en = _field_noise_diag(cfg.n, cfg.sigma_f, rng.derive_key(cfg.seed, trial, 1))
+        np.add(self.base_diag, diag, out=flat[::cfg.n + 1])
+        return e1, en
 
 
 def sample_noisy_hamiltonian(cfg: NoiseConfig, trial: int = 0) -> SectorMatrix:
@@ -139,24 +170,91 @@ def sample_noisy_hamiltonian(cfg: NoiseConfig, trial: int = 0) -> SectorMatrix:
     reshuffles earlier trials.
     """
     base = project_single_excitation(cfg.base_model())
-    h, e1, en = _noisy_matrix(cfg, base.entries.real, trial, _upper_flat_index(cfg.n))
+    h = np.empty((cfg.n, cfg.n))
+    e1, en = _Sampler(cfg, base.entries.real).fill(h, trial)
     return SectorMatrix(basis_tag=SINGLE_EXCITATION, entries=h,
                         vacuum_phase_rate=base.vacuum_phase_rate + e1 + en)
 
 
+def _trial_workers(cfg: NoiseConfig) -> int:
+    """Threads for cfg's trials: min(trials, usable CPUs // BLAS threads per call).
+
+    Serial up to ``PARALLEL_MIN_N``.  BLAS runs one thread per CPU unless an
+    environment variable caps it; with two BLAS threads per call, two
+    workers ran about 10 % slower than one at n = 500 on a 2-CPU Xeon.
+    """
+    if cfg.n <= PARALLEL_MIN_N:
+        return 1
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    caps = (os.environ.get(var, "") for var in BLAS_THREAD_VARS)
+    blas = next((int(v) for v in caps if v.isdigit() and int(v) > 0), cpus)
+    return max(1, min(cfg.trials, cpus // blas))
+
+
+def _run_trials(trials: int, workers: int, n: int, run_trial) -> None:
+    """Call ``run_trial(buffer, trial)`` for every trial on ``workers`` threads.
+
+    The calling thread is one of the workers.  Each worker owns one n x n
+    float buffer and takes the next trial index from a shared counter, so
+    a worker the host stalls does not hold the others back.  The first
+    exception of any worker stops the others from starting new trials and
+    is raised here once every helper has been joined.
+    """
+    lock = threading.Lock()
+    trial_ids = iter(range(trials))
+    errors: list[BaseException] = []
+
+    def work():
+        try:
+            buffer = np.empty((n, n))
+            while True:
+                with lock:
+                    trial = None if errors else next(trial_ids, None)
+                if trial is None:
+                    return
+                run_trial(buffer, trial)
+        except BaseException as exc:  # re-raised in the caller
+            with lock:
+                errors.append(exc)
+
+    helpers = [threading.Thread(target=work, name=f"fcqst-trial-{k}") for k in range(workers - 1)]
+    try:
+        for thread in helpers:
+            thread.start()
+        work()
+    except BaseException as exc:  # a helper failed to start: stop the others
+        with lock:
+            errors.append(exc)
+        raise
+    finally:
+        for thread in helpers:
+            if thread.ident is not None:  # started
+                thread.join()
+    if errors:
+        raise errors[0]
+
+
 def trial_overlaps(cfg: NoiseConfig) -> np.ndarray:
-    """Complex overlap F for every trial of the ensemble."""
+    """Complex overlap F for every trial of the ensemble.
+
+    The trials run on ``_trial_workers(cfg)`` threads; every trial is
+    computed alone from its own substreams, so the result does not depend
+    on the worker count.
+    """
     if cfg.sigma_c == 0.0 and cfg.sigma_f == 0.0:
         return np.ones(cfg.trials, dtype=complex)  # noiseless protocol is exact
     # builders are real symmetric
     base = np.ascontiguousarray(project_single_excitation(cfg.base_model()).entries.real)
     t = cfg.transfer_time()
     ideal, _ = evolve_source(base, t)
-    upper = _upper_flat_index(cfg.n)
+    sampler = _Sampler(cfg, base)
     out = np.empty(cfg.trials, dtype=complex)
-    for trial in range(cfg.trials):
-        h, _, _ = _noisy_matrix(cfg, base, trial, upper)
+
+    def run_trial(h, trial):
+        sampler.fill(h, trial)
         out[trial] = np.vdot(ideal, evolve_source(h, t)[0])
+
+    _run_trials(cfg.trials, _trial_workers(cfg), cfg.n, run_trial)
     return out
 
 

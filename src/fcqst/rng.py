@@ -24,51 +24,76 @@ from __future__ import annotations
 
 import numpy as np
 
-_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
-_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
-_MIX2 = np.uint64(0x94D049BB133111EB)
-_XSMULT = np.uint64(2685821657736338717)
+# Python ints: they stay uint64 in array arithmetic and exact in derive_key
+_GOLDEN = 0x9E3779B97F4A7C15
+_MIX1 = 0xBF58476D1CE4E5B9
+_MIX2 = 0x94D049BB133111EB
+_XSMULT = 2685821657736338717
+_MASK = 0xFFFFFFFFFFFFFFFF
 
 
-def _mix64(x: np.ndarray) -> np.ndarray:
-    # uint64 arithmetic wraps mod 2^64 by design
-    with np.errstate(over="ignore"):
-        x = x ^ (x >> np.uint64(30))
-        x = x * _MIX1
-        x = x ^ (x >> np.uint64(27))
-        x = x * _MIX2
-        return x ^ (x >> np.uint64(31))
+def _mix64(x: np.ndarray, tmp: np.ndarray) -> None:
+    """splitmix64 finalizer of x in place; ``tmp`` is scratch of x's shape."""
+    # uint64 array arithmetic wraps mod 2^64 by design
+    np.right_shift(x, 30, out=tmp)
+    x ^= tmp
+    x *= _MIX1
+    np.right_shift(x, 27, out=tmp)
+    x ^= tmp
+    x *= _MIX2
+    np.right_shift(x, 31, out=tmp)
+    x ^= tmp
 
 
-def _xorshift64star(x: np.ndarray) -> np.ndarray:
-    with np.errstate(over="ignore"):
-        x = x ^ (x >> np.uint64(12))
-        x = x ^ ((x << np.uint64(25)) & np.uint64(0xFFFFFFFFFFFFFFFF))
-        x = x ^ (x >> np.uint64(27))
-        return x * _XSMULT
+def _xorshift64star(x: np.ndarray, tmp: np.ndarray) -> None:
+    """One xorshift64* step of x in place; the left shift drops bits past 2^64."""
+    np.right_shift(x, 12, out=tmp)
+    x ^= tmp
+    np.left_shift(x, 25, out=tmp)
+    x ^= tmp
+    np.right_shift(x, 27, out=tmp)
+    x ^= tmp
+    x *= _XSMULT
+
+
+def _mix64_int(x: int) -> int:
+    """``_mix64`` of one word as a Python int (a derived key needs no array)."""
+    x ^= x >> 30
+    x = x * _MIX1 & _MASK
+    x ^= x >> 27
+    x = x * _MIX2 & _MASK
+    return x ^ (x >> 31)
 
 
 def derive_key(seed: int, *indices: int) -> int:
     """Fold a seed and substream indices into a 64-bit stream key."""
-    with np.errstate(over="ignore"):
-        k = _mix64(np.uint64(seed & 0xFFFFFFFFFFFFFFFF))
-        for idx in indices:
-            k = _mix64(k ^ (_GOLDEN * np.uint64((idx + 1) & 0xFFFFFFFFFFFFFFFF)))
-    return int(k)
+    k = _mix64_int(seed & _MASK)
+    for idx in indices:
+        k = _mix64_int(k ^ (_GOLDEN * (idx + 1) & _MASK))
+    return k
 
 
 def raw_words(key: int, start: int, count: int) -> np.ndarray:
     """The ``count`` 64-bit words of stream ``key`` beginning at draw ``start``."""
-    with np.errstate(over="ignore"):
-        idx = np.arange(start, start + count, dtype=np.uint64)
-        s = np.uint64(key) ^ (_GOLDEN * (idx + np.uint64(1)))
-        return _xorshift64star(_xorshift64star(_mix64(s)))
+    s = np.arange(start, start + count, dtype=np.uint64)
+    tmp = np.empty_like(s)
+    s += 1
+    s *= _GOLDEN
+    s ^= key
+    _mix64(s, tmp)
+    _xorshift64star(s, tmp)
+    _xorshift64star(s, tmp)
+    return s
 
 
 def uniforms(key: int, start: int, count: int) -> np.ndarray:
     """Uniform doubles in (0, 1] (safe as Box-Muller log arguments)."""
     w = raw_words(key, start, count)
-    return 1.0 - (w >> np.uint64(11)).astype(np.float64) * (2.0 ** -53)
+    w >>= 11
+    u = w.view(np.float64)
+    np.multiply(w, 2.0 ** -53, out=u)  # exact: the top 53 bits scaled by a power of 2
+    np.subtract(1.0, u, out=u)
+    return u
 
 
 def normals(key: int, start: int, count: int) -> np.ndarray:
@@ -76,16 +101,22 @@ def normals(key: int, start: int, count: int) -> np.ndarray:
 
     Draw ``2j`` and ``2j+1`` form a Box-Muller pair built from uniform draws
     with the same indices, so an arbitrary slice of the stream can be
-    generated without producing its prefix.
+    generated without producing its prefix.  The pair (r cos, r sin)
+    overwrites its two uniforms; the transcendental functions read and
+    write contiguous arrays only.
     """
     lo = (start // 2) * 2
     hi = ((start + count + 1) // 2) * 2
-    u = uniforms(key, lo, hi - lo)
-    u1, u2 = u[0::2], u[1::2]
-    r = np.sqrt(-2.0 * np.log(u1))
-    z = np.empty(hi - lo, dtype=np.float64)
-    z[0::2] = r * np.cos(2.0 * np.pi * u2)
-    z[1::2] = r * np.sin(2.0 * np.pi * u2)
+    z = uniforms(key, lo, hi - lo)
+    u1, u2 = z[0::2], z[1::2]
+    angle = (2.0 * np.pi) * u2
+    r = np.log(u1)
+    r *= -2.0
+    np.sqrt(r, out=r)
+    sin = np.sin(angle)
+    np.cos(angle, out=angle)
+    np.multiply(r, sin, out=u2)
+    np.multiply(r, angle, out=u1)
     return z[start - lo: start - lo + count]
 
 
@@ -94,21 +125,15 @@ class KeyedStream:
 
     def __init__(self, key: int):
         self.key = int(key)
-        self._normal_pos = 0
         self._uniform_pos = 0
 
     @classmethod
     def from_seed(cls, seed: int, *indices: int) -> "KeyedStream":
         return cls(derive_key(seed, *indices))
 
-    def normal(self, size: int = 1) -> np.ndarray:
-        out = normals(self.key, self._normal_pos, size)
-        self._normal_pos += size
-        return out
-
     def uniform(self, size: int = 1) -> np.ndarray:
-        # uniform and normal positions are tracked separately; draw the two
-        # kinds from streams with different keys (see from_seed's indices).
+        # the view reads from draw 2^32 of its stream on; seeded searches
+        # depend on that offset, so it stays.
         out = uniforms(self.key, (1 << 32) + self._uniform_pos, size)
         self._uniform_pos += size
         return out

@@ -17,7 +17,7 @@ from fcqst import (
 )
 from fcqst.effective3 import (accumulated_diagonal_phase, coupling_bounds, effective_matrices,
                               transfer_form_unitary)
-from fcqst.exceptions import InvalidSizeError, SymmetryError, UnitarityError
+from fcqst.exceptions import GridMismatchError, InvalidSizeError, SymmetryError, UnitarityError
 from fcqst.propagator import ControlSchedule
 
 
@@ -175,6 +175,15 @@ def test_interaction_picture_slice_count_guard():
     with pytest.raises(InvalidSizeError):
         to_interaction_picture([(1.0, Effective3(j1a=1, jan=1, j1n=1))],
                                slices_per_segment=0)
+
+
+@pytest.mark.parametrize("transform", [to_interaction_picture, accumulated_diagonal_phase])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -1.0])
+def test_schedule_transforms_reject_bad_durations(transform, bad):
+    # a NaN duration used to give NaN phases, and a negative one a negative segment
+    h = Effective3(j1a=1, jan=1, j1n=0.5, d1=1)
+    with pytest.raises(GridMismatchError, match="finite and positive"):
+        transform([(0.3, h), (bad, h)])
 
 
 def test_check_effective_bounds():

@@ -1,3 +1,10 @@
+import hashlib
+import itertools
+import sys
+import threading
+import time
+import warnings
+
 import numpy as np
 import pytest
 
@@ -14,6 +21,7 @@ from fcqst import (
 )
 from fcqst import noise_mc, rng
 from fcqst.exceptions import InvalidSizeError
+from fcqst.propagator import evolve_source
 
 from oracles import noisy_overlap
 
@@ -208,7 +216,6 @@ def test_trial_overlaps_match_per_trial_dense_path():
     cfg = NoiseConfig(n=400, sigma_c=0.1, sigma_f=0.0, trials=50, seed=42)
     overlaps = noise_mc.trial_overlaps(cfg)
     base = np.ascontiguousarray(project_single_excitation(cfg.base_model()).entries.real)
-    upper = noise_mc._upper_flat_index(cfg.n)
     t = cfg.transfer_time()
 
     def dense_column(h):
@@ -217,8 +224,125 @@ def test_trial_overlaps_match_per_trial_dense_path():
 
     ideal = dense_column(base)
     for k in range(cfg.trials):
-        noisy, _, _ = noise_mc._noisy_matrix(cfg, base, k, upper)
+        noisy = sample_noisy_hamiltonian(cfg, k).entries.real
         assert abs(np.vdot(ideal, dense_column(noisy)) - overlaps[k]) < 1e-13
+
+
+def test_ensemble_matches_frozen_digest():
+    # SHA-256 of the overlap bytes, frozen before the trials went parallel
+    cfg = NoiseConfig(n=500, sigma_c=0.1, sigma_f=0.1, trials=8, seed=42)
+    digest = hashlib.sha256(noise_mc.trial_overlaps(cfg).tobytes()).hexdigest()
+    assert digest == "aa23e1dd3758116bd8f5151b17b52a7eb59171dad1e8b488f1e295891b7dc46f"
+
+
+@pytest.fixture
+def two_cpus_one_blas_thread(monkeypatch):
+    """The environment in which trial_overlaps runs two workers above the crossover."""
+    monkeypatch.setattr(noise_mc.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(noise_mc.os, "cpu_count", lambda: 2)
+    for var in noise_mc.BLAS_THREAD_VARS:
+        monkeypatch.setenv(var, "1")
+
+
+def test_trial_workers_policy(monkeypatch, two_cpus_one_blas_thread):
+    above = noise_mc.PARALLEL_MIN_N + 1
+    assert noise_mc._trial_workers(NoiseConfig(n=above, sigma_c=0.1, trials=20)) == 2
+    assert noise_mc._trial_workers(NoiseConfig(n=above, sigma_c=0.1, trials=1)) == 1
+    assert noise_mc._trial_workers(NoiseConfig(n=noise_mc.PARALLEL_MIN_N, trials=20)) == 1
+    # workers x BLAS threads stays within the CPUs; an unset or malformed cap
+    # falls through to the next variable, and no cap means one thread per CPU
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+    assert noise_mc._trial_workers(NoiseConfig(n=above, trials=20)) == 1
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "x")
+    assert noise_mc._trial_workers(NoiseConfig(n=above, trials=20)) == 2
+    for var in noise_mc.BLAS_THREAD_VARS:
+        monkeypatch.delenv(var)
+    assert noise_mc._trial_workers(NoiseConfig(n=above, trials=20)) == 1
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_parallel_trials_equal_per_trial_path(monkeypatch, workers):
+    # above the crossover every worker count gives the per-trial overlaps exactly
+    cfg = NoiseConfig(n=noise_mc.PARALLEL_MIN_N + 1, sigma_c=0.1, sigma_f=0.05, trials=9, seed=5)
+    monkeypatch.setattr(noise_mc, "_trial_workers", lambda c: workers)
+    overlaps = noise_mc.trial_overlaps(cfg)
+    t = cfg.transfer_time()
+    base = np.ascontiguousarray(project_single_excitation(cfg.base_model()).entries.real)
+    ideal, _ = evolve_source(base, t)
+    expected = [np.vdot(ideal, evolve_source(sample_noisy_hamiltonian(cfg, k).entries, t)[0])
+                for k in range(cfg.trials)]
+    assert np.array_equal(overlaps, expected)
+
+
+def test_shared_trial_counter_hands_out_each_trial_once(monkeypatch):
+    # more workers than CPUs and a short switch interval: a lost update of
+    # the shared counter would repeat or skip a trial index
+    cfg = NoiseConfig(n=12, sigma_c=0.1, sigma_f=0.1, trials=300, seed=8)
+    serial = noise_mc.trial_overlaps(cfg)
+    filled = []
+    real_fill = noise_mc._Sampler.fill
+
+    def recording_fill(self, out, trial):
+        filled.append(trial)
+        return real_fill(self, out, trial)
+
+    monkeypatch.setattr(noise_mc._Sampler, "fill", recording_fill)
+    monkeypatch.setattr(noise_mc, "_trial_workers", lambda c: 6)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        parallel = noise_mc.trial_overlaps(cfg)
+    finally:
+        sys.setswitchinterval(interval)
+    assert sorted(filled) == list(range(cfg.trials))
+    assert np.array_equal(parallel, serial)
+
+
+class _TrialFailure(Exception):
+    pass
+
+
+@pytest.mark.parametrize("failing", ["helper", "main"])
+def test_failing_worker_fails_the_call_and_leaves_no_thread(monkeypatch, two_cpus_one_blas_thread,
+                                                            failing):
+    cfg = NoiseConfig(n=noise_mc.PARALLEL_MIN_N + 1, sigma_c=0.1, trials=20, seed=3)
+    assert noise_mc._trial_workers(cfg) == 2
+    real = noise_mc.evolve_source
+    calls = itertools.count()
+
+    def flaky(h, t):
+        on_main = threading.current_thread() is threading.main_thread()
+        if next(calls) > 0 and on_main == (failing == "main"):  # call 0 is the ideal column
+            raise _TrialFailure(failing)
+        if on_main:
+            time.sleep(0.005)  # leave trials for the helper
+        return real(h, t)
+
+    monkeypatch.setattr(noise_mc, "evolve_source", flaky)
+    before = threading.active_count()
+    with pytest.raises(_TrialFailure, match=failing):
+        run_mc(cfg)
+    assert threading.active_count() == before
+
+
+def test_worker_warning_is_raised_in_the_caller(monkeypatch, two_cpus_one_blas_thread):
+    # under an "error" filter a helper's RuntimeWarning surfaces in the caller
+    cfg = NoiseConfig(n=noise_mc.PARALLEL_MIN_N + 1, sigma_c=0.1, trials=6, seed=3)
+    real = noise_mc.evolve_source
+
+    def warns(h, t):
+        if threading.current_thread() is not threading.main_thread():
+            np.float64(1.0) / np.float64(0.0)
+        else:
+            time.sleep(0.005)
+        return real(h, t)
+
+    monkeypatch.setattr(noise_mc, "evolve_source", warns)
+    before = threading.active_count()
+    with warnings.catch_warnings(), pytest.raises(RuntimeWarning, match="divide by zero"):
+        warnings.simplefilter("error", RuntimeWarning)
+        noise_mc.trial_overlaps(cfg)
+    assert threading.active_count() == before
 
 
 def test_fit_power_law_exact():
