@@ -20,15 +20,13 @@ reports whichever one the caller tags.
 from __future__ import annotations
 
 import math
-import os
-import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import rng
 from .exceptions import InvalidSizeError
-from .propagator import evolve_source, minimum_transfer_time
+from .propagator import evolve_source, minimum_transfer_time, run_parallel, usable_workers
 from .spin_model import (
     SINGLE_EXCITATION,
     SectorMatrix,
@@ -54,9 +52,6 @@ PAIR_BLOCK = 65536
 # it the GIL hand-offs around small numpy calls cost more than they save
 # (crossover measured near n = 256 on a 2-CPU Xeon, one BLAS thread).
 PARALLEL_MIN_N = 256
-# environment variables that cap the BLAS threads of one call, in the order
-# OpenBLAS and MKL read them
-BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS")
 
 
 @dataclass(frozen=True)
@@ -177,69 +172,16 @@ def sample_noisy_hamiltonian(cfg: NoiseConfig, trial: int = 0) -> SectorMatrix:
 
 
 def _trial_workers(cfg: NoiseConfig) -> int:
-    """Threads for cfg's trials: min(trials, usable CPUs // BLAS threads per call).
-
-    Serial up to ``PARALLEL_MIN_N``.  BLAS runs one thread per CPU unless an
-    environment variable caps it; with two BLAS threads per call, two
-    workers ran about 10 % slower than one at n = 500 on a 2-CPU Xeon.
-    """
-    if cfg.n <= PARALLEL_MIN_N:
-        return 1
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    caps = (os.environ.get(var, "") for var in BLAS_THREAD_VARS)
-    blas = next((int(v) for v in caps if v.isdigit() and int(v) > 0), cpus)
-    return max(1, min(cfg.trials, cpus // blas))
-
-
-def _run_trials(trials: int, workers: int, n: int, run_trial) -> None:
-    """Call ``run_trial(buffer, trial)`` for every trial on ``workers`` threads.
-
-    The calling thread is one of the workers.  Each worker owns one n x n
-    float buffer and takes the next trial index from a shared counter, so
-    a worker the host stalls does not hold the others back.  The first
-    exception of any worker stops the others from starting new trials and
-    is raised here once every helper has been joined.
-    """
-    lock = threading.Lock()
-    trial_ids = iter(range(trials))
-    errors: list[BaseException] = []
-
-    def work():
-        try:
-            buffer = np.empty((n, n))
-            while True:
-                with lock:
-                    trial = None if errors else next(trial_ids, None)
-                if trial is None:
-                    return
-                run_trial(buffer, trial)
-        except BaseException as exc:  # re-raised in the caller
-            with lock:
-                errors.append(exc)
-
-    helpers = [threading.Thread(target=work, name=f"fcqst-trial-{k}") for k in range(workers - 1)]
-    try:
-        for thread in helpers:
-            thread.start()
-        work()
-    except BaseException as exc:  # a helper failed to start: stop the others
-        with lock:
-            errors.append(exc)
-        raise
-    finally:
-        for thread in helpers:
-            if thread.ident is not None:  # started
-                thread.join()
-    if errors:
-        raise errors[0]
+    """Threads for cfg's trials: serial up to ``PARALLEL_MIN_N``, else ``usable_workers``."""
+    return usable_workers(cfg.trials) if cfg.n > PARALLEL_MIN_N else 1
 
 
 def trial_overlaps(cfg: NoiseConfig) -> np.ndarray:
     """Complex overlap F for every trial of the ensemble.
 
-    The trials run on ``_trial_workers(cfg)`` threads; every trial is
-    computed alone from its own substreams, so the result does not depend
-    on the worker count.
+    The trials run on ``_trial_workers(cfg)`` threads, each refilling its
+    own n x n buffer; every trial is computed alone from its own
+    substreams, so the result does not depend on the worker count.
     """
     if cfg.sigma_c == 0.0 and cfg.sigma_f == 0.0:
         return np.ones(cfg.trials, dtype=complex)  # noiseless protocol is exact
@@ -254,7 +196,7 @@ def trial_overlaps(cfg: NoiseConfig) -> np.ndarray:
         sampler.fill(h, trial)
         out[trial] = np.vdot(ideal, evolve_source(h, t)[0])
 
-    _run_trials(cfg.trials, _trial_workers(cfg), cfg.n, run_trial)
+    run_parallel(cfg.trials, _trial_workers(cfg), run_trial, lambda: np.empty((cfg.n, cfg.n)))
     return out
 
 

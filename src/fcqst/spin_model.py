@@ -71,15 +71,18 @@ def _read_only(x, dtype) -> np.ndarray:
 
 
 def _exactly_hermitian(m: np.ndarray) -> bool:
-    """m equals its conjugate transpose, compared in 128 x 128 tiles.
+    """m is finite and equals its conjugate transpose, compared in 128 x 128 tiles.
 
-    Each tile on or above the diagonal is compared with the conjugate
-    transpose of its mirror tile, so temporaries stay tile-sized and every
-    read is a short contiguous row.
+    Each tile on or above the diagonal minus the conjugate transpose of its
+    mirror tile must be exactly zero, so temporaries stay tile-sized and
+    every read is a short contiguous row.  Two finite floats differ by zero
+    only when they are equal, and an inf or NaN entry leaves a nonzero inf
+    or NaN, so one pass also proves every entry finite.
     """
     n, b = len(m), 128
-    return all(np.array_equal(m[i:i + b, j:j + b], m[j:j + b, i:i + b].T.conj())
-               for i in range(0, n, b) for j in range(i, n, b))
+    with np.errstate(invalid="ignore", over="ignore"):  # inf - inf, huge - -huge
+        return not any((m[i:i + b, j:j + b] - m[j:j + b, i:i + b].T.conj()).any()
+                       for i in range(0, n, b) for j in range(i, n, b))
 
 
 def _pair_matrix(n: int, raw, dtype, what: str) -> np.ndarray:
@@ -185,9 +188,12 @@ class SectorMatrix:
         m = _read_only(self.entries, complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise BasisError(f"entries must be square, got shape {m.shape}")
-        if not (np.isfinite(m).all() and math.isfinite(self.vacuum_phase_rate)):
-            raise InvalidSizeError("sector entries and vacuum phase rate must be finite")
+        finite = "sector entries and vacuum phase rate must be finite"
+        if not math.isfinite(self.vacuum_phase_rate):
+            raise InvalidSizeError(finite)
         if not _exactly_hermitian(m):
+            if not np.isfinite(m).all():
+                raise InvalidSizeError(finite)
             scale = max(1.0, float(np.abs(m).max()))
             herm = float(np.abs(m - m.conj().T).max())
             if herm > HERMITICITY_TOL * scale:

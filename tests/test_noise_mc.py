@@ -19,7 +19,7 @@ from fcqst import (
     run_mc,
     sample_noisy_hamiltonian,
 )
-from fcqst import noise_mc, rng
+from fcqst import noise_mc, propagator, rng
 from fcqst.exceptions import InvalidSizeError
 from fcqst.propagator import evolve_source
 
@@ -235,15 +235,6 @@ def test_ensemble_matches_frozen_digest():
     assert digest == "aa23e1dd3758116bd8f5151b17b52a7eb59171dad1e8b488f1e295891b7dc46f"
 
 
-@pytest.fixture
-def two_cpus_one_blas_thread(monkeypatch):
-    """The environment in which trial_overlaps runs two workers above the crossover."""
-    monkeypatch.setattr(noise_mc.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    monkeypatch.setattr(noise_mc.os, "cpu_count", lambda: 2)
-    for var in noise_mc.BLAS_THREAD_VARS:
-        monkeypatch.setenv(var, "1")
-
-
 def test_trial_workers_policy(monkeypatch, two_cpus_one_blas_thread):
     above = noise_mc.PARALLEL_MIN_N + 1
     assert noise_mc._trial_workers(NoiseConfig(n=above, sigma_c=0.1, trials=20)) == 2
@@ -255,7 +246,7 @@ def test_trial_workers_policy(monkeypatch, two_cpus_one_blas_thread):
     assert noise_mc._trial_workers(NoiseConfig(n=above, trials=20)) == 1
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "x")
     assert noise_mc._trial_workers(NoiseConfig(n=above, trials=20)) == 2
-    for var in noise_mc.BLAS_THREAD_VARS:
+    for var in propagator.BLAS_THREAD_VARS:
         monkeypatch.delenv(var)
     assert noise_mc._trial_workers(NoiseConfig(n=above, trials=20)) == 1
 

@@ -1,3 +1,7 @@
+import math
+import threading
+import time
+
 import numpy as np
 import pytest
 
@@ -14,7 +18,7 @@ from fcqst import (
     project_single_excitation,
     transfer_fidelity,
 )
-from fcqst import noise_mc
+from fcqst import noise_mc, propagator
 from fcqst.effective3 import reduce_to_effective, transfer_form_unitary
 from fcqst.exceptions import (
     BasisError,
@@ -287,6 +291,18 @@ def test_lr_commutator_matches_full_propagator_form(builder, n):
         assert lr_commutator_check(model, t) == lr_commutator_dense(model, t)
 
 
+@pytest.mark.parametrize("builder", [build_h_opt, build_h_opt_prime])
+@pytest.mark.parametrize("n", range(3, 11))
+def test_lr_commutator_is_minus_two_i_times_transfer_amplitude(builder, n):
+    # the vacuum is an eigenstate, so the phase gate leaves only |<N|U(t)|1>|
+    model = builder(n, 1.0)
+    sector = project_single_excitation(model)
+    for f in (0.0, 0.37, 1.0, 1.7):
+        t = f * minimum_transfer_time(n, 1.0)
+        amp = abs(evolve_constant(sector, t)[-1, 0])
+        assert abs(lr_commutator_check(model, t) - (-2j * amp)) < 1e-14
+
+
 def test_sector_equivalence_full_vs_single_excitation():
     # evolving the 2^N matrix and the N-dim sector from |phi_1> agree
     from fcqst import project_full_space
@@ -319,6 +335,67 @@ def test_full_space_propagator_by_excitation_blocks(n):
         u = evolve_constant(h, t)
         assert np.abs(u - eig_propagator(h.entries, t)).max() < 1e-12
         assert not u[num[:, None] != num[None, :]].any()  # exactly zero between blocks
+
+
+def _spy_on_workers(monkeypatch, workers=None):
+    """Record the worker count of every run_parallel call; force it to ``workers`` if given."""
+    seen = []
+    real = propagator.run_parallel
+
+    def spy(tasks, count, run_task, *state):
+        count = count if workers is None else min(tasks, workers)
+        seen.append(count)
+        return real(tasks, count, run_task, *state)
+
+    monkeypatch.setattr(propagator, "run_parallel", spy)
+    return seen
+
+
+@pytest.mark.parametrize("n, model", [(10, "opt"), (11, "opt"), (10, "random")])
+def test_block_propagator_is_independent_of_the_worker_count(monkeypatch, n, model):
+    h = project_full_space(build_h_opt(n, 1.0) if model == "opt" else _random_model(n, 90 + n))
+    num = excitation_number(n)
+    results = []
+    for workers in (1, 2, 3):
+        with monkeypatch.context() as m:
+            seen = _spy_on_workers(m, workers)
+            results.append(evolve_constant(h, 0.37))
+        assert seen == [workers]
+    for u in results:
+        assert np.array_equal(u, results[0])
+        assert not u[num[:, None] != num[None, :]].any()  # exactly zero between blocks
+
+
+def test_block_propagator_threads_only_above_the_crossover(monkeypatch, two_cpus_one_blas_thread):
+    seen = _spy_on_workers(monkeypatch)
+    for n in (9, 10):
+        evolve_constant(project_full_space(build_h_opt(n, 1.0)), 0.37)
+    assert math.comb(9, 4) <= propagator.PARALLEL_MIN_BLOCK < math.comb(10, 5)
+    assert seen == [1, 2]
+
+
+class _BlockFailure(Exception):
+    pass
+
+
+@pytest.mark.parametrize("failing", ["helper", "main"])
+def test_failing_block_fails_the_call_and_leaves_no_thread(monkeypatch, two_cpus_one_blas_thread,
+                                                           failing):
+    h = project_full_space(build_h_opt(10, 1.0))
+    real = propagator.segment_propagators
+
+    def flaky(mats, durations):
+        on_main = threading.current_thread() is threading.main_thread()
+        if on_main == (failing == "main"):
+            raise _BlockFailure(failing)
+        time.sleep(0.005)  # leave blocks for the other worker
+        return real(mats, durations)
+
+    monkeypatch.setattr(propagator, "segment_propagators", flaky)
+    before = threading.active_count()
+    with pytest.raises(_BlockFailure, match=failing):
+        evolve_constant(h, 0.37)
+    assert threading.active_count() == before
 
 
 def test_full_space_matrix_mixing_excitation_numbers_takes_dense_path():

@@ -350,6 +350,28 @@ def test_rejects_non_finite_model_data():
             case()
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, complex(np.inf, 1.0)])
+@pytest.mark.parametrize("where", ["below", "above", "mirrored", "diagonal"])
+def test_sector_matrix_rejects_non_finite_entry_anywhere(value, where):
+    # finiteness is proven inside the tile comparison: an entry below, above
+    # or on the diagonal, or a mirrored pair that is still equal, must raise
+    n = 300
+    gen = np.random.default_rng(7)
+    a = gen.normal(size=(n, n)) + 1j * gen.normal(size=(n, n))
+    herm = a + a.conj().T
+    for i, j in [(0, 1), (5, 130), (3, n - 1), (n - 2, n - 1)]:
+        bad = herm.copy()
+        if where == "diagonal":
+            bad[j, j] = value
+        else:
+            if where in ("below", "mirrored"):
+                bad[j, i] = np.conj(value)
+            if where in ("above", "mirrored"):
+                bad[i, j] = value
+        with pytest.raises(InvalidSizeError, match="finite"):
+            SectorMatrix(basis_tag=SINGLE_EXCITATION, entries=bad)
+
+
 @pytest.mark.parametrize("builder,oracle", DICT_ORACLES)
 def test_builders_match_dict_oracle(builder, oracle):
     # the array builders reproduce the pair-dict construction bit for bit
