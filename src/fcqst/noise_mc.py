@@ -26,7 +26,7 @@ import numpy as np
 
 from . import rng
 from .exceptions import InvalidSizeError
-from .propagator import evolve_source, minimum_transfer_time, run_parallel, usable_workers
+from .propagator import evolve_source, minimum_transfer_time
 from .spin_model import (
     SINGLE_EXCITATION,
     SectorMatrix,
@@ -35,6 +35,7 @@ from .spin_model import (
     project_single_excitation,
     require_transfer_size,
 )
+from .workers import run_parallel, usable_workers
 
 # per-trial scalar infidelities derived from the complex overlap F
 INFIDELITY_DEFINITIONS = {

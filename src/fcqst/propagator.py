@@ -8,12 +8,11 @@ the caller.
 
 A 2^N full-space matrix of the model conserves excitation number, so it is
 block diagonal over the basis states grouped by popcount, with blocks of
-size C(N, k).  ``evolve_constant`` propagates such a matrix one block per
-``eigh`` call once an exact test proves the structure: the nonzero count of
-the whole matrix must equal the sum of the blocks' counts.  A full-space
-matrix that fails the test takes the dense path.  Above
-``PARALLEL_MIN_BLOCK`` the blocks run on several threads through
-``run_parallel``, the worker runner the noise Monte Carlo shares.
+size C(N, k).  ``evolve_constant`` gathers, word-counts and propagates
+such a matrix one block per task, above ``PARALLEL_MIN_BLOCK`` on several
+threads, and keeps the result once an exact test proves the structure: the
+nonzero 64-bit words of the whole matrix must number the sum of the
+blocks'.  A full-space matrix that fails the test takes the dense path.
 
 When only the evolved source state exp(-i h t)|phi_1> is needed, as in the
 noise Monte Carlo, ``evolve_source`` projects onto a short Lanczos basis
@@ -25,8 +24,6 @@ Numer. Anal. 34, 1911 (1997)); otherwise it returns the dense eigh column.
 from __future__ import annotations
 
 import math
-import os
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,6 +43,7 @@ from .spin_model import (
     project_full_space,
     require_transfer_size,
 )
+from .workers import run_parallel, usable_workers
 
 LR_MAX_QUBITS = 10
 
@@ -61,9 +59,11 @@ DENSE_MAX_N = 64
 # 11 1.55-1.57x; calls up to N = 9 (at most about 12 ms) keep to the
 # calling thread.
 PARALLEL_MIN_BLOCK = 128
-# environment variables that cap the BLAS threads of one call, in the order
-# OpenBLAS and MKL read them
-BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS")
+# Above this size a real-symmetric matrix's propagator is rebuilt from real
+# products.  Against the complex product, one matrix and one BLAS thread on
+# a 2-CPU Xeon: d = 16 0.88x, 24 0.90x, 32 1.03-1.08x, 48 1.23x, 64 1.17x,
+# 128 2.87x, 462 1.80x.
+REAL_PRODUCT_MIN_DIM = 32
 
 
 def minimum_transfer_time(n: int, j0: float = 1.0) -> float:
@@ -90,63 +90,6 @@ def evolve_constant(h, t: float) -> np.ndarray:
     return segment_propagators(h.entries, t)
 
 
-def usable_workers(tasks: int) -> int:
-    """Threads for ``tasks`` independent tasks: min(tasks, usable CPUs // BLAS threads per call).
-
-    BLAS runs one thread per CPU unless an environment variable caps it, so
-    without a cap this is 1; with two BLAS threads per call, two workers ran
-    about 10 % slower than one on a 2-CPU Xeon.
-    """
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    caps = (os.environ.get(var, "") for var in BLAS_THREAD_VARS)
-    blas = next((int(v) for v in caps if v.isdigit() and int(v) > 0), cpus)
-    return max(1, min(tasks, cpus // blas))
-
-
-def run_parallel(tasks: int, workers: int, run_task, worker_state=lambda: None) -> None:
-    """Call ``run_task(state, task)`` for every task index on ``workers`` threads.
-
-    The calling thread is one of the workers.  Each worker makes its own
-    ``state = worker_state()`` once and takes the next task index, in
-    ascending order, from a shared counter, so a worker the host stalls
-    does not hold the others back.  The first exception of any worker stops
-    the others from starting new tasks and is raised here once every helper
-    has been joined.
-    """
-    lock = threading.Lock()
-    task_ids = iter(range(tasks))
-    errors: list[BaseException] = []
-
-    def work():
-        try:
-            state = worker_state()
-            while True:
-                with lock:
-                    task = None if errors else next(task_ids, None)
-                if task is None:
-                    return
-                run_task(state, task)
-        except BaseException as exc:  # re-raised in the caller
-            with lock:
-                errors.append(exc)
-
-    helpers = [threading.Thread(target=work, name=f"fcqst-worker-{k}") for k in range(workers - 1)]
-    try:
-        for thread in helpers:
-            thread.start()
-        work()
-    except BaseException as exc:  # a helper failed to start: stop the others
-        with lock:
-            errors.append(exc)
-        raise
-    finally:
-        for thread in helpers:
-            if thread.ident is not None:  # started
-                thread.join()
-    if errors:
-        raise errors[0]
-
-
 def _excitation_blocks(n: int) -> list[np.ndarray]:
     """Basis indices of the 2^n space with excitation number k, in ascending order, for k = 0..n."""
     idx = np.arange(1 << n)
@@ -156,39 +99,51 @@ def _excitation_blocks(n: int) -> list[np.ndarray]:
     return [np.flatnonzero(popcount == k) for k in range(n + 1)]
 
 
+def _nonzero_words(a: np.ndarray) -> int:
+    """Number of 64-bit words of a's entries that are not all zero bits (-0.0 counts)."""
+    return np.count_nonzero(a.ravel(order="K").view(np.uint64))
+
+
 def _excitation_block_propagator(h: np.ndarray, t: float, cols=None) -> np.ndarray | None:
     """Columns ``cols`` (default all) of exp(-i h t) for a 2^n matrix, or None if h mixes excitation numbers.
 
-    The blocks hold every nonzero entry exactly when their nonzero counts
-    add up to the whole matrix's.  Each block goes through one
-    ``segment_propagators`` call.  For the whole propagator the blocks are
-    taken largest first, on ``usable_workers`` threads once the largest
-    exceeds ``PARALLEL_MIN_BLOCK``, each worker writing only its block's
-    entries; with ``cols`` only the blocks of the wanted basis states are
-    propagated, serially.
+    Each block is one task, largest first: gather it with ``np.ix_``,
+    count its nonzero 64-bit words, propagate it with one
+    ``segment_propagators`` call and write its entries (with ``cols``, keep
+    it if a wanted basis state is in it).  One more task counts h's words.
+    The blocks hold every nonzero word of h exactly when the counts agree
+    after the join; an off-block -0.0 is a nonzero word, so it takes the
+    dense path too.  The whole propagator's tasks run on ``usable_workers``
+    threads once the largest block exceeds ``PARALLEL_MIN_BLOCK``; with
+    ``cols`` they run serially.
     """
-    blocks = [(rows, h[rows[:, None], rows]) for rows in _excitation_blocks(h.shape[0].bit_length() - 1)]
-    if sum(np.count_nonzero(b) for _, b in blocks) != np.count_nonzero(h):
-        return None
-    if cols is None:
-        u = np.zeros(h.shape, dtype=complex)
-        blocks.sort(key=lambda block: -block[0].size)
-
-        def propagate(_, k):
-            rows, b = blocks[k]
-            u[rows[:, None], rows] = segment_propagators(b, t)
-
-        big = blocks[0][0].size > PARALLEL_MIN_BLOCK
-        run_parallel(len(blocks), usable_workers(len(blocks)) if big else 1, propagate)
-        return u
-    u = np.zeros((h.shape[0], len(cols)), dtype=complex)
+    index = _excitation_blocks(h.shape[0].bit_length() - 1)
+    order = sorted(range(len(index)), key=lambda k: -index[k].size)
+    wanted = {int(c).bit_count() for c in (() if cols is None else cols)}  # excitation numbers
+    counts = [0] * (len(index) + 1)  # words of each block, then of h
+    u = np.zeros(h.shape if cols is None else (h.shape[0], len(cols)), dtype=complex)
     props: dict[int, np.ndarray] = {}
-    for j, c in enumerate(cols):
-        k = int(c).bit_count()  # the excitation number of basis state c
-        rows, b = blocks[k]
-        if k not in props:
+
+    def task(_, i):
+        if i == len(order):
+            counts[-1] = _nonzero_words(h)
+            return
+        k = order[i]
+        block = np.ix_(index[k], index[k])
+        b = h[block]
+        counts[k] = _nonzero_words(b)
+        if cols is None:
+            u[block] = segment_propagators(b, t)
+        elif k in wanted:
             props[k] = segment_propagators(b, t)
-        u[rows, j] = props[k][:, np.searchsorted(rows, c)]
+
+    big = cols is None and index[order[0]].size > PARALLEL_MIN_BLOCK
+    run_parallel(len(order) + 1, usable_workers(len(order) + 1) if big else 1, task)
+    if sum(counts[:-1]) != counts[-1]:
+        return None
+    for j, c in enumerate(() if cols is None else cols):
+        k = int(c).bit_count()
+        u[index[k], j] = props[k][:, np.searchsorted(index[k], c)]
     return u
 
 
@@ -287,14 +242,23 @@ def segment_propagators(mats: np.ndarray, durations) -> np.ndarray:
     ``durations`` broadcasts against the stack's leading axes: one per
     matrix, one per segment of a (C, K, d, d) stack, or a scalar.  Each
     propagator is (v e^{-i w dt}) v^H from ``eigh``; a stack without
-    imaginary parts takes the real-symmetric ``eigh``, about twice as fast.
+    imaginary parts takes the real-symmetric ``eigh``, about twice as fast,
+    and above ``REAL_PRODUCT_MIN_DIM`` builds U from the two real products
+    (v cos(w dt)) v^T - i (v sin(w dt)) v^T.
     """
+    dt = np.asarray(durations)[..., None]
     if np.abs(mats.imag).max() == 0.0:
         w, v = np.linalg.eigh(mats.real)
+        if v.shape[-1] > REAL_PRODUCT_MIN_DIM:
+            wt, vt = w * dt, np.swapaxes(v, -1, -2)
+            u = np.empty(v.shape, dtype=complex)
+            u.real = (v * np.cos(wt)[..., None, :]) @ vt
+            u.imag = (v * -np.sin(wt)[..., None, :]) @ vt
+            return u
         v = v.astype(complex)
     else:
         w, v = np.linalg.eigh(mats)
-    phases = np.exp(-1j * w * np.asarray(durations)[..., None])
+    phases = np.exp(-1j * w * dt)
     return (v * phases[..., None, :]) @ np.swapaxes(v.conj(), -1, -2)
 
 

@@ -38,6 +38,7 @@ from .exceptions import (
     SizeLimitError,
 )
 from .reports import ConstraintReport, Violation
+from .workers import run_parallel, usable_workers
 
 SINGLE_EXCITATION = "single_excitation"
 FULL_SPACE = "full_space"
@@ -45,6 +46,11 @@ EFFECTIVE3 = "effective3"
 
 HERMITICITY_TOL = 1e-12
 FULL_SPACE_MAX_QUBITS = 12
+# Above this dimension the exact Hermitian check runs its tile rows on
+# several threads.  Two workers against one on a 2-CPU Xeon, two runs:
+# n = 256 0.64-0.72x, 500 1.01-1.14x, 512 0.96-1.20x, 768 1.03-1.33x,
+# 1024 1.44-1.64x, 2048 1.72-1.92x; the n = 500 noise models stay serial.
+PARALLEL_MIN_DIM = 512
 
 
 def require_positive_j0(j0: float) -> None:
@@ -77,12 +83,22 @@ def _exactly_hermitian(m: np.ndarray) -> bool:
     mirror tile must be exactly zero, so temporaries stay tile-sized and
     every read is a short contiguous row.  Two finite floats differ by zero
     only when they are equal, and an inf or NaN entry leaves a nonzero inf
-    or NaN, so one pass also proves every entry finite.
+    or NaN, so one pass also proves every entry finite.  Tile row i (the
+    tiles j >= i) is one task; above ``PARALLEL_MIN_DIM`` the rows run on
+    ``usable_workers`` threads, and a row found unequal stops the rest.
     """
     n, b = len(m), 128
-    with np.errstate(invalid="ignore", over="ignore"):  # inf - inf, huge - -huge
-        return not any((m[i:i + b, j:j + b] - m[j:j + b, i:i + b].T.conj()).any()
-                       for i in range(0, n, b) for j in range(i, n, b))
+    rows, unequal = (n + b - 1) // b, []
+
+    def check_row(_, k):
+        i = k * b
+        with np.errstate(invalid="ignore", over="ignore"):  # inf - inf, huge - -huge
+            if not unequal and any((m[i:i + b, j:j + b] - m[j:j + b, i:i + b].T.conj()).any()
+                                   for j in range(i, n, b)):
+                unequal.append(i)
+
+    run_parallel(rows, usable_workers(rows) if n > PARALLEL_MIN_DIM else 1, check_row)
+    return not unequal
 
 
 def _pair_matrix(n: int, raw, dtype, what: str) -> np.ndarray:

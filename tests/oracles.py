@@ -10,6 +10,7 @@ propagator.
 import numpy as np
 
 from fcqst import evolve_constant, project_full_space
+from fcqst.propagator import REAL_PRODUCT_MIN_DIM
 
 ID2 = np.eye(2, dtype=complex)
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -130,8 +131,22 @@ def unbatched_eigh_propagator(h, t):
     """exp(-i h t) by the one-matrix formula the batched kernel replaced.
 
     The real-symmetric ``eigh`` when h has no imaginary part, then
-    (v e^{-i w t}) v^H; ``evolve_constant`` must reproduce it bit for bit.
+    (v cos(w t)) v^T - i (v sin(w t)) v^T above ``REAL_PRODUCT_MIN_DIM``
+    and (v e^{-i w t}) v^H otherwise; ``evolve_constant`` must reproduce
+    it bit for bit.
     """
+    m = np.asarray(h, dtype=complex)
+    if np.abs(m.imag).max() == 0.0 and len(m) > REAL_PRODUCT_MIN_DIM:
+        w, v = np.linalg.eigh(m.real)
+        u = np.empty(m.shape, dtype=complex)
+        u.real = (v * np.cos(w * t)) @ v.T
+        u.imag = (v * -np.sin(w * t)) @ v.T
+        return u
+    return complex_product_propagator(m, t)
+
+
+def complex_product_propagator(h, t):
+    """exp(-i h t) as (v e^{-i w t}) v^H, taking the real-symmetric ``eigh`` when h has no imaginary part."""
     m = np.asarray(h, dtype=complex)
     if np.abs(m.imag).max() == 0.0:
         w, v = np.linalg.eigh(m.real)

@@ -19,7 +19,7 @@ from fcqst import (
     run_mc,
     sample_noisy_hamiltonian,
 )
-from fcqst import noise_mc, propagator, rng
+from fcqst import noise_mc, rng, workers
 from fcqst.exceptions import InvalidSizeError
 from fcqst.propagator import evolve_source
 
@@ -246,7 +246,7 @@ def test_trial_workers_policy(monkeypatch, two_cpus_one_blas_thread):
     assert noise_mc._trial_workers(NoiseConfig(n=above, trials=20)) == 1
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "x")
     assert noise_mc._trial_workers(NoiseConfig(n=above, trials=20)) == 2
-    for var in propagator.BLAS_THREAD_VARS:
+    for var in workers.BLAS_THREAD_VARS:
         monkeypatch.delenv(var)
     assert noise_mc._trial_workers(NoiseConfig(n=above, trials=20)) == 1
 

@@ -30,6 +30,7 @@ from fcqst.exceptions import (
 from fcqst.propagator import (
     DENSE_MAX_N,
     KRYLOV_MAX_DIM,
+    REAL_PRODUCT_MIN_DIM,
     _excitation_block_propagator,
     _lanczos_source,
     evolve_source,
@@ -39,6 +40,7 @@ from fcqst.propagator import (
 from fcqst.spin_model import EFFECTIVE3, FULL_SPACE, SINGLE_EXCITATION, SectorMatrix
 
 from oracles import (
+    complex_product_propagator,
     eig_propagator,
     excitation_number,
     lr_commutator_dense,
@@ -87,6 +89,29 @@ def test_segment_propagators_on_candidate_stacks(dim, real):
             for k in range(5):
                 expected = eig_propagator(mats[c, k], dts[c, k])
                 assert np.abs(us[c, k] - expected).max() < 1e-13
+
+
+@pytest.mark.parametrize("dim", [REAL_PRODUCT_MIN_DIM + 1, 64, 128, 252])
+def test_real_products_above_the_crossover(dim):
+    # real stacks above the crossover take the two real products: within
+    # 1e-13 of the complex formula, and unitary to 1e-13
+    mats = _hermitian_stack((3,), dim, True, seed=dim)
+    durations = np.array([0.37, 1.0, -2.5])
+    us = segment_propagators(mats, durations)
+    for u, h, dt in zip(us, mats, durations):
+        assert np.abs(u - complex_product_propagator(h, dt)).max() < 1e-13
+        assert np.abs(u.conj().T @ u - np.eye(dim)).max() < 1e-13
+
+
+@pytest.mark.parametrize("shape, dim", [((96, 8), 3), ((5,), 16), ((4,), REAL_PRODUCT_MIN_DIM)])
+def test_real_stacks_at_or_below_the_crossover_keep_the_complex_formula(shape, dim):
+    # pulse-search stacks and small blocks stay bit-identical to (v e^{-i w t}) v^H
+    mats = _hermitian_stack(shape, dim, True, seed=dim)
+    durations = np.linspace(0.1, 1.3, shape[-1])
+    dts = np.broadcast_to(durations, shape)
+    us = segment_propagators(mats, durations)
+    for idx in np.ndindex(shape):
+        assert np.array_equal(us[idx], complex_product_propagator(mats[idx], dts[idx]))
 
 
 @pytest.mark.parametrize("k", [1, 3, 8])
@@ -367,9 +392,11 @@ def test_block_propagator_is_independent_of_the_worker_count(monkeypatch, n, mod
 
 
 def test_block_propagator_threads_only_above_the_crossover(monkeypatch, two_cpus_one_blas_thread):
+    # the matrices are built first, so the spy sees only the block calls
+    hs = [project_full_space(build_h_opt(n, 1.0)) for n in (9, 10)]
     seen = _spy_on_workers(monkeypatch)
-    for n in (9, 10):
-        evolve_constant(project_full_space(build_h_opt(n, 1.0)), 0.37)
+    for h in hs:
+        evolve_constant(h, 0.37)
     assert math.comb(9, 4) <= propagator.PARALLEL_MIN_BLOCK < math.comb(10, 5)
     assert seen == [1, 2]
 
@@ -406,6 +433,44 @@ def test_full_space_matrix_mixing_excitation_numbers_takes_dense_path():
     assert np.array_equal(u, segment_propagators(h.entries, 0.37))
     assert abs(u[1, 0]) > 0.0
     assert _excitation_block_propagator(h.entries, 0.37, [0, 1]) is None
+
+
+def test_off_block_negative_zero_takes_dense_path():
+    # the proof counts 64-bit words, so a -0.0 between blocks is a nonzero word
+    entries = np.array(project_full_space(build_h_opt(4, 1.0)).entries)
+    entries[0, 1] = entries[1, 0] = -0.0  # between excitation numbers 0 and 1
+    h = SectorMatrix(basis_tag=FULL_SPACE, entries=entries)
+    assert np.array_equal(evolve_constant(h, 0.37), segment_propagators(h.entries, 0.37))
+    assert _excitation_block_propagator(h.entries, 0.37) is None
+    assert _excitation_block_propagator(h.entries, 0.37, [0, 1]) is None
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_mixing_matrix_takes_dense_path_with_any_worker_count(monkeypatch, workers):
+    # every block task runs before the proof fails; the dense result follows
+    entries = np.array(project_full_space(build_h_opt(10, 1.0)).entries)
+    entries[0, 1] = entries[1, 0] = 0.3  # couples excitation numbers 0 and 1
+    h = SectorMatrix(basis_tag=FULL_SPACE, entries=entries)
+    before = threading.active_count()
+    seen = _spy_on_workers(monkeypatch, workers)
+    u = evolve_constant(h, 0.37)
+    assert seen == [workers]
+    assert threading.active_count() == before
+    assert np.array_equal(u, segment_propagators(h.entries, 0.37))
+    assert abs(u[1, 0]) > 0.0
+
+
+@pytest.mark.parametrize("n", [6, 10])
+def test_fortran_ordered_full_space_matrix_gives_the_same_propagator(n):
+    c_order = project_full_space(_random_model(n, 60 + n))
+    f_entries = np.asfortranarray(c_order.entries)
+    f_entries.flags.writeable = False
+    f_order = SectorMatrix(basis_tag=FULL_SPACE, entries=f_entries)
+    assert f_order.entries is f_entries and not f_entries.flags.c_contiguous  # kept as given
+    for t in (0.37, 1.0):
+        assert np.array_equal(evolve_constant(f_order, t), evolve_constant(c_order, t))
+        assert np.array_equal(_excitation_block_propagator(f_entries, t, [0, 1]),
+                              _excitation_block_propagator(c_order.entries, t, [0, 1]))
 
 
 @pytest.mark.parametrize("n", range(2, 10))

@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from fcqst import (
     project_single_excitation,
     reduce_to_effective,
 )
+from fcqst import spin_model
 from fcqst.exceptions import FcqstError, HermiticityError, InvalidSizeError, SizeLimitError
 from fcqst.spin_model import FULL_SPACE, SINGLE_EXCITATION, _exactly_hermitian
 
@@ -370,6 +373,69 @@ def test_sector_matrix_rejects_non_finite_entry_anywhere(value, where):
                 bad[i, j] = value
         with pytest.raises(InvalidSizeError, match="finite"):
             SectorMatrix(basis_tag=SINGLE_EXCITATION, entries=bad)
+
+
+def _spy_on_tile_workers(monkeypatch, workers=None):
+    """Record the worker count of every tile-row run; force it to ``workers`` if given."""
+    seen = []
+    real = spin_model.run_parallel
+
+    def spy(tasks, count, run_task, *state):
+        count = count if workers is None else min(tasks, workers)
+        seen.append(count)
+        return real(tasks, count, run_task, *state)
+
+    monkeypatch.setattr(spin_model, "run_parallel", spy)
+    return seen
+
+
+@pytest.mark.parametrize("n", [10, 11])
+def test_threaded_hermitian_check_is_independent_of_the_worker_count(monkeypatch, n):
+    h = project_full_space(build_h_opt(n, 1.0)).entries
+    bad = h.copy()
+    for workers in (1, 2, 3):
+        verdicts = []
+        with monkeypatch.context() as m:
+            seen = _spy_on_tile_workers(m, workers)
+            verdicts.append(_exactly_hermitian(h))
+            for (i, j), value in [((-1, -3), 1e-300), ((2, -1), np.nan), ((5, 5), 1e-300j)]:
+                bad[i, j] = value
+                verdicts.append(_exactly_hermitian(bad))
+                bad[i, j] = h[i, j]
+        assert verdicts == [True, False, False, False]
+        assert seen == [workers] * 4
+
+
+def test_hermitian_check_threads_only_above_its_crossover(monkeypatch, two_cpus_one_blas_thread):
+    seen = _spy_on_tile_workers(monkeypatch)
+    for n in (500, spin_model.PARALLEL_MIN_DIM, 1024):
+        assert _exactly_hermitian(np.eye(n, dtype=complex))
+    assert seen == [1, 1, 2]
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, complex(np.inf, 1.0), "skew"])
+@pytest.mark.parametrize("where", ["first tile row", "last tile row", "diagonal"])
+def test_threaded_hermitian_check_rejects_bad_entry_anywhere(monkeypatch, two_cpus_one_blas_thread,
+                                                            value, where):
+    # tile rows on two threads: a non-finite or non-Hermitian entry raises
+    # wherever it sits, and no helper thread outlives the call
+    n = 1024
+    gen = np.random.default_rng(8)
+    a = gen.normal(size=(n, n)) + 1j * gen.normal(size=(n, n))
+    bad = a + a.conj().T
+    i, j = {"first tile row": (3, 700), "last tile row": (1000, 1020), "diagonal": (600, 600)}[where]
+    if value == "skew":
+        bad[i, j] += 1j if i == j else 1.0
+        error, match = HermiticityError, "not Hermitian"
+    else:
+        bad[i, j] = value
+        error, match = InvalidSizeError, "finite"
+    seen = _spy_on_tile_workers(monkeypatch)
+    before = threading.active_count()
+    with pytest.raises(error, match=match):
+        SectorMatrix(basis_tag=SINGLE_EXCITATION, entries=bad)
+    assert seen == [2]
+    assert threading.active_count() == before
 
 
 @pytest.mark.parametrize("builder,oracle", DICT_ORACLES)
