@@ -8,6 +8,8 @@ Library layout:
 * ``brachistochrone`` -- multiplier machinery, case catalog, closed forms
 * ``speed_search``    -- bounded pulse optimization and time bisection
 * ``noise_mc``        -- static-disorder Monte Carlo and scaling fits
+* ``workers``         -- the one thread runner and CPU/BLAS rule
+* ``rng``             -- the keyed, counter-based generator of every draw
 * ``cli``             -- the ``fcqst`` reproduction harness
 """
 

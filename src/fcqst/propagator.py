@@ -8,11 +8,12 @@ the caller.
 
 A 2^N full-space matrix of the model conserves excitation number, so it is
 block diagonal over the basis states grouped by popcount, with blocks of
-size C(N, k).  ``evolve_constant`` gathers, word-counts and propagates
-such a matrix one block per task, above ``PARALLEL_MIN_BLOCK`` on several
-threads, and keeps the result once an exact test proves the structure: the
-nonzero 64-bit words of the whole matrix must number the sum of the
-blocks'.  A full-space matrix that fails the test takes the dense path.
+size C(N, k).  ``SectorMatrix`` proves that structure once, when it is
+built (the nonzero 64-bit words of the whole matrix must number the sum
+of the blocks'), and stores the verdict as ``block_diagonal``.
+``evolve_constant`` reads it: a proven matrix is gathered and propagated
+one block per task, above ``PARALLEL_MIN_BLOCK`` on several threads, and
+any other matrix takes the dense path.
 
 When only the evolved source state exp(-i h t)|phi_1> is needed, as in the
 noise Monte Carlo, ``evolve_source`` projects onto a short Lanczos basis
@@ -36,10 +37,11 @@ from .exceptions import (
 )
 from .spin_model import (
     EFFECTIVE3,
-    FULL_SPACE,
+    PARALLEL_MIN_BLOCK,
     SINGLE_EXCITATION,
     SectorMatrix,
     SpinModel,
+    excitation_blocks,
     project_full_space,
     require_transfer_size,
 )
@@ -53,12 +55,6 @@ KRYLOV_CHECK_EVERY = 4  # Lanczos steps between estimates
 # Up to this size one dense eigh costs less than a typical 16-step Lanczos
 # run (crossover measured near n = 65 on a 2-CPU Xeon, one BLAS thread).
 DENSE_MAX_N = 64
-# Above this largest block size (N >= 10) the excitation blocks of a 2^N
-# matrix run on several threads.  Two workers against one on a 2-CPU Xeon,
-# one BLAS thread: N = 7 0.74-0.89x, 8 1.04-1.09x, 9 1.31-1.44x, 10 1.44x,
-# 11 1.55-1.57x; calls up to N = 9 (at most about 12 ms) keep to the
-# calling thread.
-PARALLEL_MIN_BLOCK = 128
 # Above this size a real-symmetric matrix's propagator is rebuilt from real
 # products.  Against the complex product, one matrix and one BLAS thread on
 # a 2-CPU Xeon: d = 16 0.88x, 24 0.90x, 32 1.03-1.08x, 48 1.23x, 64 1.17x,
@@ -83,67 +79,39 @@ def evolve_constant(h, t: float) -> np.ndarray:
     _require_finite_time(t)
     if not isinstance(h, SectorMatrix):
         h = SectorMatrix(basis_tag="array", entries=h)
-    if h.basis_tag == FULL_SPACE:
-        u = _excitation_block_propagator(h.entries, t)
-        if u is not None:
-            return u
+    if h.block_diagonal:
+        return _excitation_block_propagator(h.entries, t)
     return segment_propagators(h.entries, t)
 
 
-def _excitation_blocks(n: int) -> list[np.ndarray]:
-    """Basis indices of the 2^n space with excitation number k, in ascending order, for k = 0..n."""
-    idx = np.arange(1 << n)
-    popcount = np.zeros(idx.size, dtype=int)
-    for q in range(n):
-        popcount += (idx >> q) & 1
-    return [np.flatnonzero(popcount == k) for k in range(n + 1)]
-
-
-def _nonzero_words(a: np.ndarray) -> int:
-    """Number of 64-bit words of a's entries that are not all zero bits (-0.0 counts)."""
-    return np.count_nonzero(a.ravel(order="K").view(np.uint64))
-
-
-def _excitation_block_propagator(h: np.ndarray, t: float, cols=None) -> np.ndarray | None:
-    """Columns ``cols`` (default all) of exp(-i h t) for a 2^n matrix, or None if h mixes excitation numbers.
+def _excitation_block_propagator(h: np.ndarray, t: float, cols=None) -> np.ndarray:
+    """Columns ``cols`` (default all) of exp(-i h t) for a 2^n matrix proven block diagonal.
 
     Each block is one task, largest first: gather it with ``np.ix_``,
-    count its nonzero 64-bit words, propagate it with one
-    ``segment_propagators`` call and write its entries (with ``cols``, keep
-    it if a wanted basis state is in it).  One more task counts h's words.
-    The blocks hold every nonzero word of h exactly when the counts agree
-    after the join; an off-block -0.0 is a nonzero word, so it takes the
-    dense path too.  The whole propagator's tasks run on ``usable_workers``
-    threads once the largest block exceeds ``PARALLEL_MIN_BLOCK``; with
-    ``cols`` they run serially.
+    propagate it with one ``segment_propagators`` call and write its
+    entries; the tasks run on ``usable_workers`` threads once the largest
+    block exceeds ``PARALLEL_MIN_BLOCK``.  With ``cols`` only the blocks of
+    the wanted basis states are propagated, serially.
     """
-    index = _excitation_blocks(h.shape[0].bit_length() - 1)
-    order = sorted(range(len(index)), key=lambda k: -index[k].size)
-    wanted = {int(c).bit_count() for c in (() if cols is None else cols)}  # excitation numbers
-    counts = [0] * (len(index) + 1)  # words of each block, then of h
-    u = np.zeros(h.shape if cols is None else (h.shape[0], len(cols)), dtype=complex)
-    props: dict[int, np.ndarray] = {}
+    index = excitation_blocks(h.shape[0].bit_length() - 1)
+    if cols is not None:
+        u = np.zeros((h.shape[0], len(cols)), dtype=complex)
+        props: dict[int, np.ndarray] = {}  # propagator of each wanted excitation number
+        for j, c in enumerate(cols):
+            k = int(c).bit_count()
+            if k not in props:
+                props[k] = segment_propagators(h[np.ix_(index[k], index[k])], t)
+            u[index[k], j] = props[k][:, np.searchsorted(index[k], c)]
+        return u
+    index = sorted(index, key=lambda i: -i.size)
+    u = np.zeros(h.shape, dtype=complex)
 
-    def task(_, i):
-        if i == len(order):
-            counts[-1] = _nonzero_words(h)
-            return
-        k = order[i]
+    def task(_, k):
         block = np.ix_(index[k], index[k])
-        b = h[block]
-        counts[k] = _nonzero_words(b)
-        if cols is None:
-            u[block] = segment_propagators(b, t)
-        elif k in wanted:
-            props[k] = segment_propagators(b, t)
+        u[block] = segment_propagators(h[block], t)
 
-    big = cols is None and index[order[0]].size > PARALLEL_MIN_BLOCK
-    run_parallel(len(order) + 1, usable_workers(len(order) + 1) if big else 1, task)
-    if sum(counts[:-1]) != counts[-1]:
-        return None
-    for j, c in enumerate(() if cols is None else cols):
-        k = int(c).bit_count()
-        u[index[k], j] = props[k][:, np.searchsorted(index[k], c)]
+    run_parallel(len(index), usable_workers(len(index)) if index[0].size > PARALLEL_MIN_BLOCK else 1,
+                 task)
     return u
 
 
@@ -324,17 +292,18 @@ def lr_commutator_check(model: SpinModel, t: float) -> complex:
     an independent 2^N check of the transfer amplitude.
 
     The full 2^N matrix is built and proven block diagonal in excitation
-    number, but the expectation reads only U|psi0> and U sx_1|psi0>, so only
-    the vacuum and one-excitation columns of U are propagated.
+    number (every term of the model conserves the number, so the proof
+    cannot fail), but the expectation reads only U|psi0> and U sx_1|psi0>,
+    so only the vacuum and one-excitation blocks of U are propagated.
     """
     _require_finite_time(t)
     if model.n > LR_MAX_QUBITS:
         raise SizeLimitError(
             f"commutator check limited to n <= {LR_MAX_QUBITS}, got n={model.n}")
-    h = project_full_space(model).entries
+    full = project_full_space(model)
+    assert full.block_diagonal
+    h = full.entries
     u = _excitation_block_propagator(h, t, [0, 1])
-    if u is None:
-        u = segment_propagators(h, t)[:, :2]
     vac_col, src_col = u[:, 0], u[:, 1]  # U|psi0> and U sx_1|psi0>
 
     vac_amp = vac_col[0]

@@ -78,7 +78,7 @@ def _require_total_time(total_time: float) -> None:
         raise InvalidSizeError(f"total_time must be finite and nonnegative, got {total_time}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PulseParams:
     """Piecewise-constant control over uniform segments of a fixed total time.
 

@@ -18,7 +18,7 @@ from fcqst import (
     project_single_excitation,
     transfer_fidelity,
 )
-from fcqst import noise_mc, propagator
+from fcqst import noise_mc, propagator, spin_model
 from fcqst.effective3 import reduce_to_effective, transfer_form_unitary
 from fcqst.exceptions import (
     BasisError,
@@ -37,7 +37,15 @@ from fcqst.propagator import (
     ordered_product,
     segment_propagators,
 )
-from fcqst.spin_model import EFFECTIVE3, FULL_SPACE, SINGLE_EXCITATION, SectorMatrix
+from fcqst.spin_model import (
+    EFFECTIVE3,
+    FULL_SPACE,
+    HERMITICITY_TOL,
+    SINGLE_EXCITATION,
+    SectorMatrix,
+    _exactly_hermitian,
+    excitation_blocks,
+)
 
 from oracles import (
     complex_product_propagator,
@@ -362,17 +370,17 @@ def test_full_space_propagator_by_excitation_blocks(n):
         assert not u[num[:, None] != num[None, :]].any()  # exactly zero between blocks
 
 
-def _spy_on_workers(monkeypatch, workers=None):
-    """Record the worker count of every run_parallel call; force it to ``workers`` if given."""
+def _spy_on_workers(monkeypatch, workers=None, module=propagator):
+    """Record the worker count of every run_parallel call of ``module``; force it to ``workers`` if given."""
     seen = []
-    real = propagator.run_parallel
+    real = module.run_parallel
 
     def spy(tasks, count, run_task, *state):
         count = count if workers is None else min(tasks, workers)
         seen.append(count)
         return real(tasks, count, run_task, *state)
 
-    monkeypatch.setattr(propagator, "run_parallel", spy)
+    monkeypatch.setattr(module, "run_parallel", spy)
     return seen
 
 
@@ -392,12 +400,17 @@ def test_block_propagator_is_independent_of_the_worker_count(monkeypatch, n, mod
 
 
 def test_block_propagator_threads_only_above_the_crossover(monkeypatch, two_cpus_one_blas_thread):
-    # the matrices are built first, so the spy sees only the block calls
-    hs = [project_full_space(build_h_opt(n, 1.0)) for n in (9, 10)]
+    # the models are built first, so the spies see only the block proofs
+    # at construction and the block propagations
+    models = [build_h_opt(n, 1.0) for n in (9, 10)]
+    proofs = _spy_on_workers(monkeypatch, module=spin_model)
+    hs = [project_full_space(model) for model in models]
     seen = _spy_on_workers(monkeypatch)
     for h in hs:
         evolve_constant(h, 0.37)
-    assert math.comb(9, 4) <= propagator.PARALLEL_MIN_BLOCK < math.comb(10, 5)
+    assert math.comb(9, 4) <= spin_model.PARALLEL_MIN_BLOCK < math.comb(10, 5)
+    assert propagator.PARALLEL_MIN_BLOCK is spin_model.PARALLEL_MIN_BLOCK
+    assert proofs == [1, 2]
     assert seen == [1, 2]
 
 
@@ -429,10 +442,10 @@ def test_full_space_matrix_mixing_excitation_numbers_takes_dense_path():
     entries = np.array(project_full_space(build_h_opt(4, 1.0)).entries)
     entries[0, 1] = entries[1, 0] = 0.3  # couples excitation numbers 0 and 1
     h = SectorMatrix(basis_tag=FULL_SPACE, entries=entries)
+    assert not h.block_diagonal
     u = evolve_constant(h, 0.37)
     assert np.array_equal(u, segment_propagators(h.entries, 0.37))
     assert abs(u[1, 0]) > 0.0
-    assert _excitation_block_propagator(h.entries, 0.37, [0, 1]) is None
 
 
 def test_off_block_negative_zero_takes_dense_path():
@@ -440,22 +453,25 @@ def test_off_block_negative_zero_takes_dense_path():
     entries = np.array(project_full_space(build_h_opt(4, 1.0)).entries)
     entries[0, 1] = entries[1, 0] = -0.0  # between excitation numbers 0 and 1
     h = SectorMatrix(basis_tag=FULL_SPACE, entries=entries)
+    assert not h.block_diagonal
     assert np.array_equal(evolve_constant(h, 0.37), segment_propagators(h.entries, 0.37))
-    assert _excitation_block_propagator(h.entries, 0.37) is None
-    assert _excitation_block_propagator(h.entries, 0.37, [0, 1]) is None
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
 def test_mixing_matrix_takes_dense_path_with_any_worker_count(monkeypatch, workers):
-    # every block task runs before the proof fails; the dense result follows
+    # every block task of the proof runs before it fails at construction,
+    # then the whole-matrix Hermitian check; the dense result follows
     entries = np.array(project_full_space(build_h_opt(10, 1.0)).entries)
     entries[0, 1] = entries[1, 0] = 0.3  # couples excitation numbers 0 and 1
-    h = SectorMatrix(basis_tag=FULL_SPACE, entries=entries)
     before = threading.active_count()
-    seen = _spy_on_workers(monkeypatch, workers)
-    u = evolve_constant(h, 0.37)
-    assert seen == [workers]
+    seen = _spy_on_workers(monkeypatch, workers, module=spin_model)
+    h = SectorMatrix(basis_tag=FULL_SPACE, entries=entries)
+    assert seen == [workers, workers]  # the proof, then the whole-matrix Hermitian check
     assert threading.active_count() == before
+    assert not h.block_diagonal
+    blocks = _spy_on_workers(monkeypatch)
+    u = evolve_constant(h, 0.37)
+    assert blocks == []
     assert np.array_equal(u, segment_propagators(h.entries, 0.37))
     assert abs(u[1, 0]) > 0.0
 
@@ -467,6 +483,7 @@ def test_fortran_ordered_full_space_matrix_gives_the_same_propagator(n):
     f_entries.flags.writeable = False
     f_order = SectorMatrix(basis_tag=FULL_SPACE, entries=f_entries)
     assert f_order.entries is f_entries and not f_entries.flags.c_contiguous  # kept as given
+    assert f_order.block_diagonal and c_order.block_diagonal
     for t in (0.37, 1.0):
         assert np.array_equal(evolve_constant(f_order, t), evolve_constant(c_order, t))
         assert np.array_equal(_excitation_block_propagator(f_entries, t, [0, 1]),
@@ -478,10 +495,98 @@ def test_excitation_block_columns_are_columns_of_the_propagator(n):
     models = [_random_model(n, 80 + n)] + ([build_h_opt(n, 1.0)] if n >= 3 else [])
     dim = 1 << n
     for h in (project_full_space(m) for m in models):
+        assert h.block_diagonal
         for cols in ([0, 1], [1, 0], [dim - 1, 3, 0], list(range(dim))):
             for t in (0.0, 0.37, -1.2):
                 assert np.array_equal(_excitation_block_propagator(h.entries, t, cols),
                                       evolve_constant(h, t)[:, cols])
+
+
+def _spy_on_words(monkeypatch):
+    """Record the shape of every array whose 64-bit words the block proof counts."""
+    calls = []
+    real = spin_model._nonzero_words
+
+    def spy(a):
+        calls.append(a.shape)
+        return real(a)
+
+    monkeypatch.setattr(spin_model, "_nonzero_words", spy)
+    return calls
+
+
+@pytest.mark.parametrize("n", [4, 10])
+def test_proven_matrix_is_not_proven_again(monkeypatch, n):
+    model = build_h_opt(n, 1.0)
+    calls = _spy_on_words(monkeypatch)
+    h = project_full_space(model)
+    assert h.block_diagonal
+    assert sorted(calls) == sorted([(1 << n, 1 << n)] + [(i.size, i.size) for i in excitation_blocks(n)])
+    build = list(calls)
+    calls.clear()
+    evolve_constant(h, 0.37)
+    assert calls == []
+    lr_commutator_check(model, 0.37)
+    assert sorted(calls) == sorted(build)  # its own build's proof and nothing more
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, complex(np.inf, 1.0)])
+@pytest.mark.parametrize("n", [4, 10])
+def test_off_block_non_finite_entry_raises(n, value):
+    # the entry breaks the block proof, and the whole-matrix check finds it
+    entries = np.array(project_full_space(build_h_opt(n, 1.0)).entries)
+    entries[0, 1] = value  # between excitation numbers 0 and 1
+    assert not spin_model._prove_blocks(entries)[0]
+    with pytest.raises(InvalidSizeError, match="finite"):
+        SectorMatrix(basis_tag=FULL_SPACE, entries=entries)
+    entries[1, 0] = np.conj(value)  # a mirrored pair
+    with pytest.raises(InvalidSizeError, match="finite"):
+        SectorMatrix(basis_tag=FULL_SPACE, entries=entries)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, complex(np.inf, 1.0)])
+@pytest.mark.parametrize("n", [4, 10])
+def test_in_block_non_finite_entry_raises(n, value):
+    # the block proof holds, and the Hermitian check on the blocks finds it
+    full = np.array(project_full_space(build_h_opt(n, 1.0)).entries)
+    dim = 1 << n
+    for i, j in [(0, 0), (1, 2), (2, 1), (3, 5), (3, 3), (dim - 1, dim - 1)]:
+        entries = full.copy()
+        entries[i, j] = value
+        assert spin_model._prove_blocks(entries) == (True, False)
+        with pytest.raises(InvalidSizeError, match="finite"):
+            SectorMatrix(basis_tag=FULL_SPACE, entries=entries)
+
+
+@pytest.mark.parametrize("n", [4, 10])
+def test_hermitian_defect_within_tolerance_keeps_the_block_path(n):
+    entries = np.array(project_full_space(_random_model(n, 70 + n)).entries)
+    entries[1, 2] += 1e-15  # inside excitation block 1, not mirrored
+    h = SectorMatrix(basis_tag=FULL_SPACE, entries=entries)
+    assert h.block_diagonal and not _exactly_hermitian(h.entries)
+    for t in (0.37, 1.0):
+        blockwise = np.zeros(entries.shape, dtype=complex)
+        for i in excitation_blocks(n):
+            blockwise[np.ix_(i, i)] = segment_propagators(entries[np.ix_(i, i)], t)
+        assert np.array_equal(evolve_constant(h, t), blockwise)
+    entries[1, 2] += 1e-6  # beyond HERMITICITY_TOL: the whole-matrix deviation is reported
+    herm = np.abs(entries - entries.conj().T).max()
+    assert herm > HERMITICITY_TOL * np.abs(entries).max()
+    with pytest.raises(HermiticityError, match=f"max deviation {herm:.3e}"):
+        SectorMatrix(basis_tag=FULL_SPACE, entries=entries)
+
+
+def test_non_power_of_two_full_space_matrix_raises_before_the_block_proof(monkeypatch):
+    # the tile check still comes first, so a non-Hermitian matrix keeps its error class
+    calls = _spy_on_words(monkeypatch)
+    for dim in (3, 6, 12):
+        with pytest.raises(BasisError, match="power of 2"):
+            SectorMatrix(basis_tag=FULL_SPACE, entries=np.eye(dim))
+        skew = np.eye(dim, dtype=complex)
+        skew[0, 1] = 1.0
+        with pytest.raises(HermiticityError):
+            SectorMatrix(basis_tag=FULL_SPACE, entries=skew)
+    assert calls == []
 
 
 @pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])

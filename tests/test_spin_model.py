@@ -13,7 +13,7 @@ from fcqst import (
     project_single_excitation,
     reduce_to_effective,
 )
-from fcqst import spin_model
+from fcqst import PulseParams, spin_model
 from fcqst.exceptions import FcqstError, HermiticityError, InvalidSizeError, SizeLimitError
 from fcqst.spin_model import FULL_SPACE, SINGLE_EXCITATION, _exactly_hermitian
 
@@ -265,6 +265,20 @@ def test_sector_matrices_are_hermitian_and_immutable():
     assert dev <= 1e-12
     with pytest.raises(ValueError):
         sector.entries[0, 0] = 99.0
+
+
+@pytest.mark.parametrize("make", [
+    lambda: project_full_space(build_h_opt(4, 1.0)),
+    lambda: project_single_excitation(build_h_opt(4, 1.0)),
+    lambda: build_h_opt(4, 1.0),
+    lambda: PulseParams(n=4, j0=1.0, total_time=1.0, j1a=[1.0], jan=[1.0], j1n=[1.0],
+                        d1=[0.0], da=[0.0], dn=[0.0]),
+])
+def test_array_holding_dataclasses_compare_by_identity(make):
+    a, b = make(), make()
+    assert a == a and a != b and not a == b
+    assert hash(a) == hash(a)
+    assert len({a, b}) == 2 and a in {a} and b not in {a}
 
 
 def test_coupling_key_normalization():
