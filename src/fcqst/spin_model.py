@@ -254,7 +254,8 @@ class SectorMatrix:
     ``block_diagonal`` is whether a ``FULL_SPACE`` matrix is proven block
     diagonal in excitation number (``_prove_blocks``); a proven one has its
     exact Hermitian check on the blocks only, every other matrix on all of
-    it.  One that fails it must be finite and within ``HERMITICITY_TOL``.
+    it.  One that fails the exact check must be finite and within
+    ``HERMITICITY_TOL`` over the whole matrix.
     """
 
     basis_tag: str
@@ -271,14 +272,13 @@ class SectorMatrix:
             raise InvalidSizeError(finite)
         dim = m.shape[0]
         proven, exact = False, False
-        if self.basis_tag == FULL_SPACE and not dim & (dim - 1):
+        if self.basis_tag == FULL_SPACE and dim and not dim & (dim - 1):
             proven, exact = _prove_blocks(m)
         if not (exact if proven else _exactly_hermitian(m)):
-            parts = [m[np.ix_(i, i)] for i in excitation_blocks(dim.bit_length() - 1)] if proven else [m]
-            if not all(np.isfinite(p).all() for p in parts):
+            if not np.isfinite(m).all():
                 raise InvalidSizeError(finite)
-            scale = max(1.0, *(float(np.abs(p).max()) for p in parts))
-            herm = max(float(np.abs(p - p.conj().T).max()) for p in parts)
+            scale = max(1.0, float(np.abs(m).max()))
+            herm = float(np.abs(m - m.conj().T).max())
             if herm > HERMITICITY_TOL * scale:
                 raise HermiticityError(f"matrix not Hermitian: max deviation {herm:.3e}")
         if self.basis_tag == EFFECTIVE3 and dim != 3:

@@ -589,6 +589,14 @@ def test_non_power_of_two_full_space_matrix_raises_before_the_block_proof(monkey
     assert calls == []
 
 
+def test_empty_full_space_matrix_builds_without_the_block_proof(monkeypatch):
+    # 0 passes the power-of-two test, but there is no excitation number to prove
+    calls = _spy_on_words(monkeypatch)
+    h = SectorMatrix(basis_tag=FULL_SPACE, entries=np.zeros((0, 0)))
+    assert h.dim == 0 and not h.block_diagonal
+    assert calls == []
+
+
 @pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
 def test_non_finite_time_rejected(t):
     model = build_h_opt(4, 1.0)
