@@ -20,13 +20,11 @@ from .brachistochrone import (
     CaseSpec,
     QBMultipliers,
     ResidualReport,
-    build_F,
     case_hamiltonian,
     case_minimum_time,
     case_stationary_solution,
     case_table_rows,
     case_unitary,
-    lemma_grid_scan,
     qb_residuals,
     stationary_multipliers,
 )
@@ -34,7 +32,6 @@ from .effective3 import (
     Effective3,
     TransferDecomposition,
     boundary_form_check,
-    check_effective_bounds,
     reduce_to_effective,
     to_interaction_picture,
 )

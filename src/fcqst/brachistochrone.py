@@ -91,13 +91,6 @@ def _case(case_id: int) -> CaseSpec:
     return CASE_TABLE[case_id - 1]
 
 
-def build_F(m: QBMultipliers, h: Effective3) -> np.ndarray:
-    """Multiplier operator: diagonal from lam1/lam2, couplings scaled by
-    their multipliers.  Traceless by construction."""
-    return effective_matrices(m.lam1a * h.j1a, m.laman * h.jan, m.lam1n * h.j1n,
-                              m.lam1 + m.lam2, -2.0 * m.lam2, -m.lam1 + m.lam2)
-
-
 @dataclass(frozen=True)
 class ResidualReport:
     """Max-norm residuals of the four stationarity conditions over a grid."""
@@ -318,51 +311,6 @@ def case_unitary(case_id: int, n: int, j0: float, t: float, *,
         h = case_hamiltonian(case_id, n, j0, c1a=c1a, j1n_bar=j1n_bar, sign=sign)
         return _family_unitary(h, t)
     raise UnsupportedCaseError(f"no closed-form unitary for case {case_id}")
-
-
-@dataclass(frozen=True)
-class LemmaScanRow:
-    x: int
-    branch: str
-    y: float
-    g: float
-
-
-@dataclass(frozen=True)
-class LemmaScanReport:
-    rows: tuple[LemmaScanRow, ...]
-    minimizer_x: int
-    minimizer_branch: str
-    minimum: float
-
-
-def lemma_grid_scan(q: float, r: float, x_max: int) -> LemmaScanReport:
-    """Grid scan of the revival-count minimization behind the case proofs.
-
-    Minimizes g(x, y) = x / sqrt(q^2 + y^2) over integer x >= 1 with y on
-    the two admissible branches gamma = (x+1)/x and gamma = (x-1)/x:
-
-        y_plus  = -(r x^2 + (x+1) sqrt(r^2 x^2 - (2x+1) q^2)) / (2x+1)
-        y_minus = -(r x^2 + (x-1) sqrt(r^2 x^2 + (2x-1) q^2)) / (2x-1)
-
-    The plus branch is skipped where its square root is negative.  The scan
-    confirms numerically that the minimizer sits at x = 1.
-    """
-    if not (math.isfinite(q) and math.isfinite(r) and q > 0 and r >= 0):
-        raise InvalidSizeError(f"need finite q > 0 and r >= 0, got q={q}, r={r}")
-    if x_max < 3:
-        raise InvalidSizeError(f"x_max must be >= 3, got {x_max}")
-    rows = []
-    for x in range(1, x_max + 1):
-        disc_plus = r * r * x * x - (2 * x + 1) * q * q
-        if disc_plus >= 0:
-            y = -(r * x * x + (x + 1) * np.sqrt(disc_plus)) / (2 * x + 1)
-            rows.append(LemmaScanRow(x, "plus", float(y), float(x / np.hypot(q, y))))
-        y = -(r * x * x + (x - 1) * np.sqrt(r * r * x * x + (2 * x - 1) * q * q)) / (2 * x - 1)
-        rows.append(LemmaScanRow(x, "minus", float(y), float(x / np.hypot(q, y))))
-    best = min(rows, key=lambda row: row.g)
-    return LemmaScanReport(rows=tuple(rows), minimizer_x=best.x,
-                           minimizer_branch=best.branch, minimum=best.g)
 
 
 def case_table_rows(n: int, j0: float, j1n_bar: float | None = None) -> list[dict]:

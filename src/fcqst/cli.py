@@ -204,9 +204,10 @@ def cmd_noise(args) -> int:
     fields = ["n", "sigma_c", "sigma_f", "trials", "seed", "mean_infidelity", "std_error"]
     _write_csv(args.out, fields, rows)
     xcol = "n" if len(args.n) > 1 else "sigma_c" if len(args.sigma_c) > 1 else "sigma_f"
-    _chart(args, [float(r[xcol]) for r in rows], [float(r["mean_infidelity"]) for r in rows],
-           xlabel="N" if xcol == "n" else xcol, ylabel="mean infidelity",
-           logx=len(args.n) > 1, logy=len(args.n) > 1, title=f"noise sweep ({args.metric})")
+    xs, ys = [float(r[xcol]) for r in rows], [float(r["mean_infidelity"]) for r in rows]
+    log = len(args.n) > 1 and min(ys) > 0  # a noiseless sweep has zero infidelities
+    _chart(args, xs, ys, xlabel="N" if xcol == "n" else xcol, ylabel="mean infidelity",
+           logx=log, logy=log, title=f"noise sweep ({args.metric})")
     return EXIT_PASS
 
 

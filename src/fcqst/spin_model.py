@@ -224,25 +224,6 @@ class SpinModel:
             raise InvalidSizeError("fields must be finite")
         object.__setattr__(self, "fields", f)
 
-    def to_json_dict(self) -> dict:
-        def pairs(m):
-            return zip(*(a.tolist() for a in _upper_pairs(m)))
-        return {
-            "n": self.n,
-            "couplings": [[i + 1, j + 1, v.real, v.imag] for i, j, v in pairs(self.couplings)],
-            "zz": [[i + 1, j + 1, u] for i, j, u in pairs(self.zz)],
-            "fields": list(self.fields),
-        }
-
-    @classmethod
-    def from_json_dict(cls, doc: dict) -> "SpinModel":
-        return cls(
-            n=int(doc["n"]),
-            couplings={(int(i), int(j)): complex(re, im) for i, j, re, im in doc.get("couplings", [])},
-            zz={(int(i), int(j)): float(u) for i, j, u in doc.get("zz", [])},
-            fields=tuple(doc.get("fields", [])),
-        )
-
 
 @dataclass(frozen=True, eq=False)
 class SectorMatrix:

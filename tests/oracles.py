@@ -294,6 +294,16 @@ def effective3_literal(j1a, jan, j1n, d1, da, dn):
     ], dtype=complex)
 
 
+def transfer_form_unitary(theta, alpha, beta, phi):
+    """The end-of-transfer boundary pattern evaluated at given angles."""
+    ct, st = np.cos(theta), np.sin(theta)
+    return np.array([
+        [0.0, 0.0, np.exp(1j * phi)],
+        [ct * np.exp(-1j * alpha), -st * np.exp(-1j * beta), 0.0],
+        [st * np.exp(1j * beta), ct * np.exp(1j * alpha), 0.0],
+    ], dtype=complex)
+
+
 def multiplier_literal(m, j1a, jan, j1n):
     """The multiplier operator F of QBMultipliers m, written out entry by entry."""
     return np.array([

@@ -7,14 +7,12 @@ from fcqst import (
     CASE_TABLE,
     Effective3,
     QBMultipliers,
-    build_F,
     case_hamiltonian,
     case_minimum_time,
     case_stationary_solution,
     case_table_rows,
     case_unitary,
     evolve_constant,
-    lemma_grid_scan,
     qb_residuals,
     stationary_multipliers,
 )
@@ -98,20 +96,6 @@ def test_stationary_multipliers_guards():
         stationary_multipliers(8, 2, 1.0)
 
 
-def test_build_F_structure():
-    h = _verification_h(5)
-    assert np.abs(build_F(QBMultipliers(), h)).max() == 0.0
-    f = build_F(QBMultipliers(lam1=1.0), Effective3(j1a=0, jan=0, j1n=0))
-    assert np.array_equal(f, np.diag([1.0, 0.0, -1.0]).astype(complex))
-    # trace vanishes identically
-    gen = np.random.default_rng(0)
-    for _ in range(20):
-        vals = gen.normal(size=5)
-        m = QBMultipliers(lam1=vals[0], lam2=vals[1], lam1a=vals[2],
-                          laman=vals[3], lam1n=vals[4])
-        assert abs(np.trace(build_F(m, h))) < 1e-14
-
-
 def test_negative_slack_rejected():
     with pytest.raises(BoundViolationError):
         QBMultipliers(s1a=-0.1)
@@ -139,7 +123,7 @@ def test_qb_residuals_constant_commutator():
     # constant F with constant H: residual is exactly ||[F, H]||
     h = _verification_h(4)
     m = QBMultipliers(lam1=0.2, lam2=-0.1, lam1a=0.3, laman=0.05, lam1n=0.15)
-    f = build_F(m, h)
+    f = multiplier_literal(m, h.j1a, h.jan, h.j1n)
     comm = f @ h.matrix() - h.matrix() @ f
     expected = np.abs(comm).max()
     assert expected > 0.01
@@ -212,8 +196,6 @@ def test_matrices_equal_the_literals():
         d1, da, dn = gen.normal(size=3)
         h = Effective3(j1a=j1a, jan=jan, j1n=j1n, d1=d1, da=da, dn=dn)
         assert np.array_equal(h.matrix(), effective3_literal(j1a, jan, j1n, d1, da, dn))
-        m = QBMultipliers(*gen.normal(size=5), *np.abs(gen.normal(size=3)))
-        assert np.array_equal(build_F(m, h), multiplier_literal(m, j1a, jan, j1n))
 
 
 def _random_trajectory(gen, k, n, uniform):
@@ -374,32 +356,32 @@ def test_case_table_partition_and_rows():
     assert abs(float(rows[5]["t_min"]) - np.pi / 2) < 1e-12
 
 
-def test_lemma_grid_scan_minimizer_at_one():
-    report = lemma_grid_scan(np.sqrt(8.0), 0.0, 10)
-    assert report.minimizer_x == 1
-    report = lemma_grid_scan(1.0, 1.0, 10)
-    assert report.minimizer_x == 1
+def _lemma_scan(q, r, x_max):
+    """(x, branch, g) rows of the revival-count minimization behind the case proofs.
+
+    g(x, y) = x / sqrt(q^2 + y^2) over integer x >= 1, with y on the two
+    admissible branches gamma = (x+1)/x and gamma = (x-1)/x:
+
+        y_plus  = -(r x^2 + (x+1) sqrt(r^2 x^2 - (2x+1) q^2)) / (2x+1)
+        y_minus = -(r x^2 + (x-1) sqrt(r^2 x^2 + (2x-1) q^2)) / (2x-1)
+
+    The plus branch is skipped where its square root is negative.
+    """
+    rows = []
+    for x in range(1, x_max + 1):
+        disc_plus = r * r * x * x - (2 * x + 1) * q * q
+        if disc_plus >= 0:
+            y = -(r * x * x + (x + 1) * np.sqrt(disc_plus)) / (2 * x + 1)
+            rows.append((x, "plus", x / np.hypot(q, y)))
+        y = -(r * x * x + (x - 1) * np.sqrt(r * r * x * x + (2 * x - 1) * q * q)) / (2 * x - 1)
+        rows.append((x, "minus", x / np.hypot(q, y)))
+    return rows
 
 
-def test_lemma_grid_scan_stable_under_larger_grids():
+def test_revival_count_lemma_minimizer_at_one():
+    # the paper's lemma: the minimum over revival counts sits at x = 1
     for q, r in [(np.sqrt(8.0), 0.0), (1.0, 1.0), (2.0, 5.0)]:
-        minimizers = {lemma_grid_scan(q, r, x_max).minimizer_x
-                      for x_max in (3, 5, 10, 25, 60)}
-        assert minimizers == {1}
-
-
-def test_lemma_grid_scan_monotone_along_branches():
-    report = lemma_grid_scan(np.sqrt(8.0), 0.0, 30)
-    minus = [row.g for row in report.rows if row.branch == "minus"]
+        for x_max in (3, 5, 10, 25, 60):
+            assert min(_lemma_scan(q, r, x_max), key=lambda row: row[2])[0] == 1
+    minus = [g for _, branch, g in _lemma_scan(np.sqrt(8.0), 0.0, 30) if branch == "minus"]
     assert all(a < b for a, b in zip(minus, minus[1:]))
-
-
-def test_lemma_grid_scan_guards():
-    with pytest.raises(InvalidSizeError):
-        lemma_grid_scan(0.0, 1.0, 10)
-    # NaN used to report the minimizer at x = 1 with a NaN minimum
-    for q, r in ((np.nan, 1.0), (1.0, np.nan), (np.inf, 1.0), (1.0, np.inf)):
-        with pytest.raises(InvalidSizeError, match="finite"):
-            lemma_grid_scan(q, r, 10)
-    with pytest.raises(InvalidSizeError):
-        lemma_grid_scan(1.0, 0.0, 2)

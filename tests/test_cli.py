@@ -1,10 +1,14 @@
 import csv
 import json
 import hashlib
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import fcqst
 from fcqst.cli import main
 
 
@@ -312,6 +316,9 @@ MANIFEST_CASES = {
                    "--out", "{out}", "--svg"],
     "noise": ["noise", "--n", "8,16", "--sigma-c", "0.1", "--trials", "4", "--seed", "3",
               "--out", "{out}", "--svg"],
+    # every mean infidelity is 0, which used to crash the log-scale chart
+    "noise-noiseless": ["noise", "--n", "5,6,7", "--trials", "2", "--seed", "0",
+                        "--out", "{out}", "--svg"],
     "fit": ["fit", "--input", "{sweep}", "--model", "power", "--out", "{out}", "--svg"],
 }
 
@@ -462,3 +469,13 @@ def test_os_errors_exit_with_usage_code(tmp_path, capsys, argv):
     code, _, err = run_cli(capsys, *argv)
     assert code == 2
     assert_usage_error(err, argv[0], "missing")
+
+
+def test_cli_imports_no_scipy():
+    # numpy is the only declared runtime dependency, though scipy may be installed
+    path = [os.path.dirname(os.path.dirname(fcqst.__file__)), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    probe = "import sys, fcqst.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, check=True)
+    assert done.stdout == "[]\n"

@@ -19,7 +19,7 @@ from fcqst import (
     transfer_fidelity,
 )
 from fcqst import noise_mc, propagator, spin_model
-from fcqst.effective3 import reduce_to_effective, transfer_form_unitary
+from fcqst.effective3 import reduce_to_effective
 from fcqst.exceptions import (
     BasisError,
     GridMismatchError,
@@ -53,6 +53,7 @@ from oracles import (
     excitation_number,
     lr_commutator_dense,
     sequential_product,
+    transfer_form_unitary,
     unbatched_eigh_propagator,
 )
 

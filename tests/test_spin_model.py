@@ -294,22 +294,6 @@ def test_coupling_key_normalization():
         SpinModel(n=3, couplings={(2, 2): 1.0})
 
 
-def test_json_round_trip():
-    model = SpinModel(
-        n=4,
-        couplings={(1, 2): 0.5 - 0.25j, (3, 4): 1.0},
-        zz={(2, 3): 0.75},
-        fields=(0.0, 1.0, -1.0, 0.5),
-    )
-    doc = model.to_json_dict()
-    assert doc["couplings"] == [[1, 2, 0.5, -0.25], [3, 4, 1.0, 0.0]]
-    assert doc["zz"] == [[2, 3, 0.75]]
-    back = SpinModel.from_json_dict(doc)
-    assert back.n == model.n and back.fields == model.fields
-    assert np.array_equal(back.couplings, model.couplings)
-    assert np.array_equal(back.zz, model.zz)
-
-
 def test_full_space_matches_pauli_oracle_with_zz():
     model = SpinModel(
         n=3,
