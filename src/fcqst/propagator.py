@@ -13,7 +13,9 @@ built (the nonzero 64-bit words of the whole matrix must number the sum
 of the blocks'), and stores the verdict as ``block_diagonal``.
 ``evolve_constant`` reads it: a proven matrix is gathered and propagated
 one block per task, above ``PARALLEL_MIN_BLOCK`` on several threads, and
-any other matrix takes the dense path.
+any other matrix takes the dense path.  ``lr_commutator_check`` needs only
+the vacuum and one-excitation blocks, so it builds those two from the model
+(``excitation_block``) and never the 2^N matrix.
 
 When only the evolved source state exp(-i h t)|phi_1> is needed, as in the
 noise Monte Carlo, ``evolve_source`` projects onto a short Lanczos basis
@@ -41,8 +43,8 @@ from .spin_model import (
     SINGLE_EXCITATION,
     SectorMatrix,
     SpinModel,
+    excitation_block,
     excitation_blocks,
-    project_full_space,
     require_transfer_size,
 )
 from .workers import run_parallel, usable_workers
@@ -60,6 +62,7 @@ DENSE_MAX_N = 64
 # a 2-CPU Xeon: d = 16 0.88x, 24 0.90x, 32 1.03-1.08x, 48 1.23x, 64 1.17x,
 # 128 2.87x, 462 1.80x.
 REAL_PRODUCT_MIN_DIM = 32
+NON_FINITE_MATRIX = "matrix entries must be finite"
 
 
 def minimum_transfer_time(n: int, j0: float = 1.0) -> float:
@@ -84,26 +87,15 @@ def evolve_constant(h, t: float) -> np.ndarray:
     return segment_propagators(h.entries, t)
 
 
-def _excitation_block_propagator(h: np.ndarray, t: float, cols=None) -> np.ndarray:
-    """Columns ``cols`` (default all) of exp(-i h t) for a 2^n matrix proven block diagonal.
+def _excitation_block_propagator(h: np.ndarray, t: float) -> np.ndarray:
+    """exp(-i h t) for a 2^n matrix proven block diagonal.
 
     Each block is one task, largest first: gather it with ``np.ix_``,
     propagate it with one ``segment_propagators`` call and write its
     entries; the tasks run on ``usable_workers`` threads once the largest
-    block exceeds ``PARALLEL_MIN_BLOCK``.  With ``cols`` only the blocks of
-    the wanted basis states are propagated, serially.
+    block exceeds ``PARALLEL_MIN_BLOCK``.
     """
-    index = excitation_blocks(h.shape[0].bit_length() - 1)
-    if cols is not None:
-        u = np.zeros((h.shape[0], len(cols)), dtype=complex)
-        props: dict[int, np.ndarray] = {}  # propagator of each wanted excitation number
-        for j, c in enumerate(cols):
-            k = int(c).bit_count()
-            if k not in props:
-                props[k] = segment_propagators(h[np.ix_(index[k], index[k])], t)
-            u[index[k], j] = props[k][:, np.searchsorted(index[k], c)]
-        return u
-    index = sorted(index, key=lambda i: -i.size)
+    index = sorted(excitation_blocks(h.shape[0].bit_length() - 1), key=lambda i: -i.size)
     u = np.zeros(h.shape, dtype=complex)
 
     def task(_, k):
@@ -121,7 +113,8 @@ def evolve_source(h: np.ndarray, t: float) -> tuple[np.ndarray, int]:
     A real-symmetric h larger than ``DENSE_MAX_N`` goes through the Lanczos
     kernel; every other input, and every Lanczos run whose error estimate
     misses ``KRYLOV_TOL`` at ``KRYLOV_MAX_DIM``, takes the exact dense-eigh
-    column, for which the reported dimension is 0.  The time t must be finite.
+    column, for which the reported dimension is 0.  The time t must be
+    finite; a non-finite entry of h raises InvalidSizeError on either path.
     """
     _require_finite_time(t)
     if np.iscomplexobj(h):
@@ -136,6 +129,8 @@ def evolve_source(h: np.ndarray, t: float) -> tuple[np.ndarray, int]:
 
 
 def _dense_source(h: np.ndarray, t: float) -> np.ndarray:
+    if not np.isfinite(h).all():
+        raise InvalidSizeError(NON_FINITE_MATRIX)
     w, v = np.linalg.eigh(h)
     return (v * np.exp(-1j * w * t)) @ np.ascontiguousarray(v[0].conj())
 
@@ -151,7 +146,9 @@ def _lanczos_source(h: np.ndarray, t: float) -> tuple[np.ndarray, int] | None:
     bound for ||T_m||) is a happy breakdown: the basis spans an invariant
     subspace to working precision and the projected result is exact.
     Returns the column and its Krylov dimension, or None when the estimate
-    still fails at ``KRYLOV_MAX_DIM``.
+    still fails at ``KRYLOV_MAX_DIM``.  An inf or NaN entry of h that the
+    basis reaches makes a recurrence coefficient non-finite, which raises
+    InvalidSizeError with no extra pass over h.
     """
     n = h.shape[0]
     basis = np.zeros((KRYLOV_MAX_DIM + 1, n))
@@ -163,13 +160,16 @@ def _lanczos_source(h: np.ndarray, t: float) -> tuple[np.ndarray, int] | None:
     for j in range(KRYLOV_MAX_DIM):
         m = j + 1
         v = basis[j]
-        w = h @ v
-        a = v @ w
-        w -= a * v
-        if j:
-            w -= beta_prev * basis[j - 1]
-        w -= basis[:m].T @ (basis[:m] @ w)
-        b = math.sqrt(w @ w)
+        with np.errstate(invalid="ignore", over="ignore"):  # inf * 0, inf - inf in h's products
+            w = h @ v
+            a = v @ w
+            w -= a * v
+            if j:
+                w -= beta_prev * basis[j - 1]
+            w -= basis[:m].T @ (basis[:m] @ w)
+            b = math.sqrt(w @ w)
+        if not (math.isfinite(a) and math.isfinite(b)):
+            raise InvalidSizeError(NON_FINITE_MATRIX)
         alpha[j], beta[j] = a, b
         norm_t = max(norm_t, abs(a) + beta_prev + b)
         breakdown = b <= roundoff * norm_t
@@ -291,20 +291,22 @@ def lr_commutator_check(model: SpinModel, t: float) -> complex:
     t, and modulus exactly 2 for a perfect transfer.  Criterion 7 is thereby
     an independent 2^N check of the transfer amplitude.
 
-    The full 2^N matrix is built and proven block diagonal in excitation
-    number (every term of the model conserves the number, so the proof
-    cannot fail), but the expectation reads only U|psi0> and U sx_1|psi0>,
-    so only the vacuum and one-excitation blocks of U are propagated.
+    The expectation reads only U|psi0> and U sx_1|psi0>.  Every term of the
+    model conserves excitation number, so these are the first columns of
+    the vacuum block and of the one-excitation block of U, and only those
+    two blocks of H (1 x 1 and N x N, from ``excitation_block``) are built
+    and propagated; no 2^N matrix is.  The two columns are then laid out
+    in the 2^N space for the gate and the sigma_y terms.
     """
     _require_finite_time(t)
     if model.n > LR_MAX_QUBITS:
         raise SizeLimitError(
             f"commutator check limited to n <= {LR_MAX_QUBITS}, got n={model.n}")
-    full = project_full_space(model)
-    assert full.block_diagonal
-    h = full.entries
-    u = _excitation_block_propagator(h, t, [0, 1])
-    vac_col, src_col = u[:, 0], u[:, 1]  # U|psi0> and U sx_1|psi0>
+    dim = 1 << model.n
+    vac_col = np.zeros(dim, dtype=complex)  # U|psi0>
+    src_col = np.zeros(dim, dtype=complex)  # U sx_1|psi0> = U|1>
+    vac_col[0] = segment_propagators(excitation_block(model, 0), t)[0, 0]
+    src_col[excitation_blocks(model.n)[1]] = segment_propagators(excitation_block(model, 1), t)[:, 0]
 
     vac_amp = vac_col[0]
     tgt = 1 << (model.n - 1)
@@ -315,7 +317,7 @@ def lr_commutator_check(model: SpinModel, t: float) -> complex:
     # match it, as the transfer protocol prescribes.
     chi = -np.angle(vac_amp) if abs(vac_amp) > 0 else 0.0
     theta = (np.angle(vac_amp) - np.angle(transfer_amp)) if abs(transfer_amp) > 0 else 0.0
-    idx = np.arange(h.shape[0])
+    idx = np.arange(dim)
     gate = np.exp(1j * chi) * np.where((idx & tgt) == 0, 1.0, np.exp(1j * theta))
 
     upsi0 = gate * vac_col

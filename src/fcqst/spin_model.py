@@ -8,7 +8,8 @@ with one flip-flop amplitude J_ij and one ZZ coefficient U_ij per unordered
 qubit pair, and a longitudinal field B_j per qubit.  H conserves the total
 excitation number, so it is block diagonal over excitation sectors; this
 module builds the N-dimensional single-excitation block (the workhorse for
-state transfer) and, for small N, the full 2^N matrix used as an oracle.
+state transfer) and, for small N, the full 2^N matrix used as an oracle or
+any one of its excitation-number blocks on its own.
 
 Conventions
 -----------
@@ -345,38 +346,58 @@ def project_single_excitation(model: SpinModel) -> SectorMatrix:
     return SectorMatrix(basis_tag=SINGLE_EXCITATION, entries=h, vacuum_phase_rate=vac)
 
 
-def project_full_space(model: SpinModel) -> SectorMatrix:
-    """Dense 2^N x 2^N matrix of the Hamiltonian (oracle for small N)."""
-    n = model.n
-    if n > FULL_SPACE_MAX_QUBITS:
-        raise SizeLimitError(
-            f"full-space build limited to n <= {FULL_SPACE_MAX_QUBITS}, got n={n}")
-    dim = 1 << n
-    idx = np.arange(dim)
+def _hamiltonian_on(model: SpinModel, states: np.ndarray) -> np.ndarray:
+    """Matrix of the Hamiltonian on ascending 2^N basis states that excitation number closes.
+
+    Entry [a, b] is <states[a]|H|states[b]>, so on all 2^N states this is
+    the full matrix and on one excitation number it is that block of it,
+    entry for entry.
+    """
+    n, dim = model.n, states.size
+    everything = dim == 1 << n  # then a state's position is its label
+    pos = np.arange(dim)
     h = np.zeros((dim, dim), dtype=complex)
 
     # z_q(s) = +1 when bit q of s is 0, else -1 (q counts qubits from 0 here)
     def zsign(q: int) -> np.ndarray:
-        return 1.0 - 2.0 * ((idx >> q) & 1)
+        return 1.0 - 2.0 * ((states >> q) & 1)
 
     diag = np.zeros(dim)
     for q in range(n):
         diag += model.fields[q] * zsign(q)
     for i, j, u in zip(*_upper_pairs(model.zz)):
         diag += u * zsign(i) * zsign(j)
-    h[idx, idx] = diag
+    h[pos, pos] = diag
 
-    # J_ij s+_i s-_j maps states with qubit j excited, i not, onto i excited.
-    # Distinct pairs make distinct off-diagonal transitions, so one update
-    # per triangle adds every pair's term to a zero entry exactly once.
+    # J_ij s+_i s-_j maps states with qubit j excited, i not, onto i excited,
+    # which has the same excitation number and so is in the list.  Distinct
+    # pairs make distinct off-diagonal transitions, so one update per
+    # triangle adds every pair's term to a zero entry exactly once.
     rows, cols, vals = _upper_pairs(model.couplings)
-    bits = (idx[:, None] >> np.arange(n)) & 1
+    bits = (states[:, None] >> np.arange(n)) & 1
     src, pair = np.nonzero((bits[:, cols] == 1) & (bits[:, rows] == 0))
-    dst = src ^ (1 << rows[pair]) ^ (1 << cols[pair])
+    dst = (src if everything else states[src]) ^ (1 << rows[pair]) ^ (1 << cols[pair])
+    if not everything:
+        dst = np.searchsorted(states, dst)
     h[dst, src] += vals[pair]
     h[src, dst] += vals[pair].conj()
+    return h
+
+
+def excitation_block(model: SpinModel, k: int) -> np.ndarray:
+    """Block of ``project_full_space(model)`` on the states ``excitation_blocks(model.n)[k]``, built alone."""
+    return _hamiltonian_on(model, excitation_blocks(model.n)[k])
+
+
+def project_full_space(model: SpinModel) -> SectorMatrix:
+    """Dense 2^N x 2^N matrix of the Hamiltonian (oracle for small N)."""
+    n = model.n
+    if n > FULL_SPACE_MAX_QUBITS:
+        raise SizeLimitError(
+            f"full-space build limited to n <= {FULL_SPACE_MAX_QUBITS}, got n={n}")
+    h = _hamiltonian_on(model, np.arange(1 << n))
     h.flags.writeable = False
-    return SectorMatrix(basis_tag=FULL_SPACE, entries=h, vacuum_phase_rate=float(diag[0]))
+    return SectorMatrix(basis_tag=FULL_SPACE, entries=h, vacuum_phase_rate=float(h[0, 0].real))
 
 
 def check_coupling_bounds(model: SpinModel, j0: float) -> ConstraintReport:

@@ -31,7 +31,6 @@ from fcqst.propagator import (
     DENSE_MAX_N,
     KRYLOV_MAX_DIM,
     REAL_PRODUCT_MIN_DIM,
-    _excitation_block_propagator,
     _lanczos_source,
     evolve_source,
     ordered_product,
@@ -337,6 +336,31 @@ def test_lr_commutator_is_minus_two_i_times_transfer_amplitude(builder, n):
         assert abs(lr_commutator_check(model, t) - (-2j * amp)) < 1e-14
 
 
+@pytest.mark.parametrize("builder, n", [(b, n) for b in (build_h_opt, build_h_opt_prime)
+                                        for n in range(3, 11)] + [(None, n) for n in range(2, 11)])
+def test_lr_commutator_builds_no_full_space_matrix(monkeypatch, builder, n):
+    model = builder(n, 1.0) if builder else _random_model(n, 70 + n)
+    times = (0.0, 0.37, np.pi / np.sqrt(2.0 * n))
+    expected = [lr_commutator_dense(model, t) for t in times]
+
+    def no_full_space(_):
+        raise AssertionError("the commutator built a 2^N matrix")
+
+    sizes = []
+    real = spin_model._hamiltonian_on
+
+    def spy(m, states):
+        sizes.append(states.size)
+        return real(m, states)
+
+    monkeypatch.setattr(spin_model, "project_full_space", no_full_space)
+    monkeypatch.setattr(propagator, "project_full_space", no_full_space, raising=False)
+    monkeypatch.setattr(spin_model, "_hamiltonian_on", spy)
+    for t, value in zip(times, expected):
+        assert lr_commutator_check(model, t) == value
+    assert sizes == [1, n] * len(times)
+
+
 def test_sector_equivalence_full_vs_single_excitation():
     # evolving the 2^N matrix and the N-dim sector from |phi_1> agree
     from fcqst import project_full_space
@@ -487,20 +511,21 @@ def test_fortran_ordered_full_space_matrix_gives_the_same_propagator(n):
     assert f_order.block_diagonal and c_order.block_diagonal
     for t in (0.37, 1.0):
         assert np.array_equal(evolve_constant(f_order, t), evolve_constant(c_order, t))
-        assert np.array_equal(_excitation_block_propagator(f_entries, t, [0, 1]),
-                              _excitation_block_propagator(c_order.entries, t, [0, 1]))
 
 
 @pytest.mark.parametrize("n", range(2, 10))
 def test_excitation_block_columns_are_columns_of_the_propagator(n):
+    # each block built alone and propagated by itself, as the commutator
+    # does for blocks 0 and 1, is exactly that block of the 2^N propagator
     models = [_random_model(n, 80 + n)] + ([build_h_opt(n, 1.0)] if n >= 3 else [])
-    dim = 1 << n
-    for h in (project_full_space(m) for m in models):
+    for model in models:
+        h = project_full_space(model)
         assert h.block_diagonal
-        for cols in ([0, 1], [1, 0], [dim - 1, 3, 0], list(range(dim))):
-            for t in (0.0, 0.37, -1.2):
-                assert np.array_equal(_excitation_block_propagator(h.entries, t, cols),
-                                      evolve_constant(h, t)[:, cols])
+        for t in (0.0, 0.37, -1.2):
+            u = evolve_constant(h, t)
+            for k, i in enumerate(excitation_blocks(n)):
+                assert np.array_equal(segment_propagators(spin_model.excitation_block(model, k), t),
+                                      u[np.ix_(i, i)])
 
 
 def _spy_on_words(monkeypatch):
@@ -523,12 +548,11 @@ def test_proven_matrix_is_not_proven_again(monkeypatch, n):
     h = project_full_space(model)
     assert h.block_diagonal
     assert sorted(calls) == sorted([(1 << n, 1 << n)] + [(i.size, i.size) for i in excitation_blocks(n)])
-    build = list(calls)
     calls.clear()
     evolve_constant(h, 0.37)
     assert calls == []
     lr_commutator_check(model, 0.37)
-    assert sorted(calls) == sorted(build)  # its own build's proof and nothing more
+    assert calls == []  # it builds blocks 0 and 1 alone, with nothing to prove
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, complex(np.inf, 1.0)])
@@ -617,6 +641,25 @@ def test_evolve_source_rejects_non_finite_time(n, t):
     for mat in (h, h.astype(complex), _random_hermitian(n, 4)):
         with pytest.raises(InvalidSizeError, match="time"):
             evolve_source(mat, t)
+
+
+@pytest.mark.parametrize("bad", ["all_nan", "inf_pair", "nan_diagonal"])
+@pytest.mark.parametrize("kind", ["real", "complex_storage", "complex"])
+@pytest.mark.parametrize("n", [8, 65, 200])
+def test_evolve_source_rejects_non_finite_matrix(n, kind, bad):
+    # the dense path (n = 8, complex entries) and the Lanczos path (real
+    # values above DENSE_MAX_N) both raise, for a bad entry off column 0 too
+    h, t = _noisy_real(n, 0.1)
+    h = {"real": h, "complex_storage": h.astype(complex),
+         "complex": h + 1j * np.imag(_random_hermitian(n, 4))}[kind]
+    if bad == "all_nan":
+        h[:] = np.nan
+    elif bad == "inf_pair":
+        h[2, n - 1] = h[n - 1, 2] = np.inf
+    else:
+        h[3, 3] = np.nan
+    with pytest.raises(InvalidSizeError, match="finite"):
+        evolve_source(h, t)
 
 
 @pytest.mark.parametrize("dt", [np.nan, np.inf, -np.inf])

@@ -467,10 +467,9 @@ def test_full_space_matches_dict_oracle(builder, oracle):
         assert full.vacuum_phase_rate == vac
 
 
-def test_full_space_matches_pair_loop():
-    # the vectorised coupling update reproduces the per-pair loop exactly,
-    # for the builders and for random models with complex couplings, ZZ
-    # terms, fields and some pairs left at zero
+def _builder_and_random_models():
+    """Both builders for n = 3-11, and random models for n = 2-9 with complex
+    couplings, ZZ terms, fields and some pairs left at zero."""
     models = [builder(n, 0.7) for n in range(3, 12) for builder in (build_h_opt, build_h_opt_prime)]
     gen = np.random.default_rng(5)
     for n in range(2, 10):
@@ -480,8 +479,27 @@ def test_full_space_matches_pair_loop():
         z[gen.random((n, n)) < 0.3] = 0.0
         models.append(SpinModel(n=n, couplings=c + c.conj().T, zz=z + z.T,
                                 fields=tuple(gen.normal(size=n))))
-    for model in models:
+    return models
+
+
+def test_full_space_matches_pair_loop():
+    # the vectorised coupling update reproduces the per-pair loop exactly
+    for model in _builder_and_random_models():
         full = project_full_space(model)
         entries, vac = full_space_loop(model)
         assert np.array_equal(full.entries, entries)
         assert full.vacuum_phase_rate == vac
+
+
+def test_excitation_block_is_the_block_of_the_dense_build():
+    # compared word for word, so a -0.0 where +0.0 belongs would show: the
+    # dense build against the per-pair loop (a conjugated real coupling has
+    # a -0.0 imaginary part, which += onto a zero entry turns into +0.0),
+    # then every block built alone against the dense build's gather
+    for model in _builder_and_random_models():
+        full = project_full_space(model).entries
+        assert np.array_equal(full.view(np.uint64), full_space_loop(model)[0].view(np.uint64))
+        for k, i in enumerate(spin_model.excitation_blocks(model.n)):
+            block = spin_model.excitation_block(model, k)
+            assert block.dtype == complex and block.shape == (i.size, i.size)
+            assert np.array_equal(block.view(np.uint64), full[np.ix_(i, i)].view(np.uint64))
