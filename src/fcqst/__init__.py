@@ -45,7 +45,6 @@ from .noise_mc import (
     sample_noisy_hamiltonian,
 )
 from .propagator import (
-    ControlSchedule,
     evolve_constant,
     evolve_schedule,
     lr_commutator_check,

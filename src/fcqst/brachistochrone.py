@@ -21,15 +21,14 @@ evaluates all four on a schedule grid.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .effective3 import Effective3, coupling_bounds, effective_matrices
-from .exceptions import BoundViolationError, GridMismatchError, InvalidSizeError, UnsupportedCaseError
-from .propagator import minimum_transfer_time
-from .spin_model import require_transfer_size
+from .exceptions import BoundViolationError, GridMismatchError, UnsupportedCaseError
+from .propagator import _checked_schedule, minimum_transfer_time
+from .spin_model import require_finite, require_transfer_size
 
 
 @dataclass(frozen=True)
@@ -110,30 +109,23 @@ def qb_residuals(segments, m_traj, n: int, j0: float) -> ResidualReport:
     """Evaluate the stationarity residuals on a piecewise-constant schedule.
 
     ``segments`` is a nonempty sequence of (duration, Effective3) with finite
-    positive durations and ``m_traj`` one QBMultipliers per segment.  dF/dt
-    uses centered differences between neighboring segment midpoints
-    (one-sided at the ends; zero for a single segment), so a constant
-    trajectory has exactly zero time-derivative and the first residual
-    reduces to max |[F, H]|.
+    positive durations, checked as ``evolve_schedule`` checks its schedule,
+    and ``m_traj`` one QBMultipliers per segment.  dF/dt uses centered
+    differences between neighboring segment midpoints (one-sided at the
+    ends; zero for a single segment), so a constant trajectory has exactly
+    zero time-derivative and the first residual reduces to max |[F, H]|.
     """
-    segments = list(segments)
-    m_traj = list(m_traj)
+    segments, m_traj = list(segments), list(m_traj)
     if len(segments) != len(m_traj):
-        raise GridMismatchError(
-            f"{len(m_traj)} multiplier points for {len(segments)} segments")
-    if not segments:
-        raise GridMismatchError("the residual grid needs at least one segment")
-    dts = np.array([dt for dt, _ in segments], dtype=float)
-    if not np.all(np.isfinite(dts) & (dts > 0)):
-        raise GridMismatchError("grid durations must be finite and positive")
-    bounds2 = np.square(coupling_bounds(n, j0))
+        raise GridMismatchError(f"{len(m_traj)} multiplier points for {len(segments)} segments")
     fields = np.array([(h.j1a, h.jan, h.j1n, h.d1, h.da, h.dn) for _, h in segments],
-                      dtype=complex)
+                      dtype=complex).reshape(-1, 6)
+    dts, h = _checked_schedule([dt for dt, _ in segments], effective_matrices(*fields.T))
+    bounds2 = np.square(coupling_bounds(n, j0))
     mults = np.array([(m.lam1, m.lam2, m.lam1a, m.laman, m.lam1n, m.s1a, m.san, m.s1n)
                       for m in m_traj], dtype=float)
     couplings, lam1, lam2 = fields[:, :3], mults[:, 0], mults[:, 1]
     lams, slacks = mults[:, 2:5], mults[:, 5:]
-    h = effective_matrices(*fields.T)
     f = effective_matrices(*(lams * couplings).T, lam1 + lam2, -2.0 * lam2, -lam1 + lam2)
 
     k = len(segments)
@@ -152,8 +144,7 @@ def _require_case7_bar(j1n_bar: float | None, j0: float) -> None:
     """Case 7 needs a finite source-target coupling with |j1n_bar| <= j0."""
     if j1n_bar is None:
         raise UnsupportedCaseError("case 7 needs j1n_bar")
-    if not math.isfinite(j1n_bar):
-        raise InvalidSizeError(f"j1n_bar must be finite, got {j1n_bar}")
+    require_finite(j1n_bar=j1n_bar)
     if abs(j1n_bar) > j0 * (1.0 + 1e-12):
         raise BoundViolationError(f"|j1n_bar|={abs(j1n_bar)} exceeds j0={j0}")
 
@@ -236,8 +227,10 @@ def case_hamiltonian(case_id: int, n: int, j0: float, *, phi_1n: float = 0.0,
     Case 6 couples only source and target.  Case 7 is the mirror-symmetric
     real form with corner diagonals c1a - |j1n_bar| (c1a defaults to its
     minimal-time value 4 |j1n_bar|).  Case 8 is the saturated family form
-    with corner diagonals 3 sign j0 and relative coupling sign ``sign``.
+    with corner diagonals 3 sign j0 and relative coupling sign ``sign``.  A
+    non-finite ``phi_1n`` or ``c1a`` raises InvalidSizeError.
     """
+    require_finite(phi_1n=phi_1n, c1a=c1a)
     a, _, _ = coupling_bounds(n, j0)
     if case_id == 6:
         return Effective3(j1a=0.0, jan=0.0, j1n=j0 * np.exp(-1j * phi_1n))
@@ -296,9 +289,7 @@ def case_unitary(case_id: int, n: int, j0: float, t: float, *,
     3 sign j0; perfect transfer at t = pi/(j0 sqrt(2 n)).  A non-finite t or
     phi_1n raises InvalidSizeError.
     """
-    for name, value in (("t", t), ("phi_1n", phi_1n)):
-        if not math.isfinite(value):
-            raise InvalidSizeError(f"{name} must be finite, got {value}")
+    require_finite(t=t, phi_1n=phi_1n)
     if case_id == 6:
         require_transfer_size(n, j0)
         ct, st = np.cos(j0 * t), np.sin(j0 * t)

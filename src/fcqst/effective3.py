@@ -16,15 +16,14 @@ bounds, and recognizes the end-of-transfer unitary pattern
 
 from __future__ import annotations
 
-import cmath
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import GridMismatchError, InvalidSizeError, SymmetryError, UnitarityError
+from .exceptions import BasisError, InvalidSizeError, SymmetryError, UnitarityError
+from .propagator import _checked_schedule
 from .spin_model import (EFFECTIVE3, SectorMatrix, SpinModel, project_single_excitation,
-                         require_transfer_size)
+                         require_finite, require_integer, require_transfer_size)
 
 SYMMETRY_TOL = 1e-12
 BOUNDARY_TOL = 1e-9
@@ -50,9 +49,7 @@ class Effective3:
     frame_shift: float = 0.0
 
     def __post_init__(self):
-        for name in ("j1a", "jan", "j1n", "d1", "da", "dn", "frame_shift"):
-            if not cmath.isfinite(getattr(self, name)):
-                raise InvalidSizeError(f"{name} must be finite, got {getattr(self, name)}")
+        require_finite(**vars(self))
 
     def matrix(self) -> np.ndarray:
         return effective_matrices(self.j1a, self.jan, self.j1n, self.d1, self.da, self.dn)
@@ -137,41 +134,35 @@ def reduce_to_effective(model: SpinModel) -> Effective3:
     )
 
 
-def to_interaction_picture(segments, slices_per_segment: int = 1):
+def to_interaction_picture(schedule, slices_per_segment: int = 1):
     """Interaction picture of the diagonal part of a piecewise schedule.
 
-    Input and output are sequences of (duration, Effective3); every input
-    duration must be finite and positive.  Each output
-    segment has zero diagonals; the couplings carry the accumulated phase
-    differences exp(i (Theta_row - Theta_col)) with Theta_r(t) = int d_r dt,
-    evaluated at slice midpoints.  Coupling magnitudes are unchanged.
+    Input and output are (durations, mats) schedules of 3x3 Hamiltonians, as
+    ``propagator.evolve_schedule`` takes and checks them.  Each segment
+    becomes ``slices_per_segment`` equal slices with zero diagonals, whose
+    couplings carry the phase differences exp(i (Theta_row - Theta_col)),
+    Theta_r(t) = int d_r dt, at slice midpoints; magnitudes are unchanged.
 
     With K slices per segment the schedule propagator matches the exact
     interaction-picture propagator to O((dt/K)^2); segments whose diagonal
     differences vanish are reproduced exactly for any K.
     """
-    if slices_per_segment < 1:
+    if require_integer(slices_per_segment, "slices_per_segment") < 1:
         raise InvalidSizeError("slices_per_segment must be >= 1")
-    out = []
-    theta = np.zeros(3)
-    for dt, h in segments:
-        dt = float(dt)
-        if not (math.isfinite(dt) and dt > 0):
-            raise GridMismatchError(f"segment durations must be finite and positive, got {dt}")
-        dvec = np.array([h.d1, h.da, h.dn])
-        sub = dt / slices_per_segment
-        for s in range(slices_per_segment):
-            mid = theta + dvec * sub * (s + 0.5)
-            p1, pa, pn = np.exp(1j * mid)
-            out.append((sub, Effective3(
-                j1a=h.j1a * p1 * np.conj(pa),
-                jan=h.jan * pa * np.conj(pn),
-                j1n=h.j1n * p1 * np.conj(pn),
-                d1=0.0, da=0.0, dn=0.0,
-                frame_shift=h.frame_shift,
-            )))
-        theta = theta + dvec * dt
-    return out
+    durations, mats = _checked_schedule(*schedule)
+    if mats.shape[-1] != 3:
+        raise BasisError(f"effective3 sector must be 3x3, got {mats.shape[-1]}")
+    diag = np.diagonal(mats, axis1=-2, axis2=-1).real            # (K, 3)
+    # Theta at each segment start, by the same sequential adds as a running sum
+    start = np.cumsum(np.concatenate([np.zeros((1, 3)), diag[:-1] * durations[:-1, None]]), axis=0)
+    sub = durations / slices_per_segment
+    offsets = np.arange(slices_per_segment) + 0.5                # slice midpoints / slice length
+    mid = start[:, None] + (diag * sub[:, None])[:, None] * offsets[:, None]
+    p1, pa, pn = np.moveaxis(np.exp(1j * mid), -1, 0)            # (K, S) each
+    out = effective_matrices(mats[:, 0, 1, None] * p1 * np.conj(pa),
+                             mats[:, 1, 2, None] * pa * np.conj(pn),
+                             mats[:, 0, 2, None] * p1 * np.conj(pn), 0.0, 0.0, 0.0)
+    return np.repeat(sub, slices_per_segment), out.reshape(-1, 3, 3)
 
 
 @dataclass(frozen=True)

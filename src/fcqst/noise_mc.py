@@ -33,6 +33,7 @@ from .spin_model import (
     SpinModel,
     hamiltonian_builder,
     project_single_excitation,
+    require_integer,
     require_transfer_size,
 )
 from .workers import run_parallel, usable_workers
@@ -68,7 +69,8 @@ class NoiseConfig:
     hamiltonian: str = "opt"
 
     def __post_init__(self):
-        if self.trials < 1:
+        require_integer(self.seed, "seed")
+        if require_integer(self.trials, "trials") < 1:
             raise InvalidSizeError(f"trials must be >= 1, got {self.trials}")
         for name in ("sigma_c", "sigma_f"):
             value = getattr(self, name)

@@ -3,8 +3,9 @@
 Full propagators are built from the eigendecomposition U = V e^{-i w t} V+,
 which is exact (to roundoff) and unconditionally stable for the dense
 Hermitian matrices this package produces.  Piecewise-constant schedules are
-the only representation of time dependence; smooth controls are sampled by
-the caller.
+the only representation of time dependence, as one pair of arrays: (K,)
+durations and a (K, d, d) stack of segment Hamiltonians; smooth controls
+are sampled by the caller.
 
 A 2^N full-space matrix of the model conserves excitation number, so it is
 block diagonal over the basis states grouped by popcount, with blocks of
@@ -27,7 +28,6 @@ Numer. Anal. 34, 1911 (1997)); otherwise it returns the dense eigh column.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,12 +39,15 @@ from .exceptions import (
 )
 from .spin_model import (
     EFFECTIVE3,
+    NON_FINITE_MATRIX,
     PARALLEL_MIN_BLOCK,
     SINGLE_EXCITATION,
     SectorMatrix,
     SpinModel,
     excitation_block,
     excitation_blocks,
+    require_finite,
+    require_near_hermitian,
     require_transfer_size,
 )
 from .workers import run_parallel, usable_workers
@@ -62,7 +65,6 @@ DENSE_MAX_N = 64
 # a 2-CPU Xeon: d = 16 0.88x, 24 0.90x, 32 1.03-1.08x, 48 1.23x, 64 1.17x,
 # 128 2.87x, 462 1.80x.
 REAL_PRODUCT_MIN_DIM = 32
-NON_FINITE_MATRIX = "matrix entries must be finite"
 
 
 def minimum_transfer_time(n: int, j0: float = 1.0) -> float:
@@ -71,15 +73,9 @@ def minimum_transfer_time(n: int, j0: float = 1.0) -> float:
     return np.pi / (j0 * np.sqrt(2.0 * n))
 
 
-def _require_finite_time(t: float) -> None:
-    """Raise InvalidSizeError unless the evolution time t is finite (any sign)."""
-    if not math.isfinite(t):
-        raise InvalidSizeError(f"evolution time must be finite, got {t}")
-
-
 def evolve_constant(h, t: float) -> np.ndarray:
     """exp(-i h t) of a SectorMatrix, or of an array that passes its checks."""
-    _require_finite_time(t)
+    require_finite(time=t)
     if not isinstance(h, SectorMatrix):
         h = SectorMatrix(basis_tag="array", entries=h)
     if h.block_diagonal:
@@ -116,7 +112,7 @@ def evolve_source(h: np.ndarray, t: float) -> tuple[np.ndarray, int]:
     column, for which the reported dimension is 0.  The time t must be
     finite; a non-finite entry of h raises InvalidSizeError on either path.
     """
-    _require_finite_time(t)
+    require_finite(time=t)
     if np.iscomplexobj(h):
         if np.abs(h.imag).max() != 0.0:
             return _dense_source(h, t), 0
@@ -184,26 +180,6 @@ def _lanczos_source(h: np.ndarray, t: float) -> tuple[np.ndarray, int] | None:
     return None
 
 
-@dataclass(frozen=True)
-class ControlSchedule:
-    """Ordered piecewise-constant control: (duration, SectorMatrix) segments."""
-
-    segments: tuple[tuple[float, SectorMatrix], ...]
-
-    def __post_init__(self):
-        if not self.segments:
-            raise GridMismatchError("schedule needs at least one segment")
-        segs = tuple((float(dt), h) for dt, h in self.segments)
-        tag, dim = segs[0][1].basis_tag, segs[0][1].dim
-        for dt, h in segs:
-            if not (math.isfinite(dt) and dt > 0):
-                raise GridMismatchError(
-                    f"segment durations must be finite and positive, got {dt}")
-            if h.basis_tag != tag or h.dim != dim:
-                raise BasisError("all segments must share basis_tag and dimension")
-        object.__setattr__(self, "segments", segs)
-
-
 def segment_propagators(mats: np.ndarray, durations) -> np.ndarray:
     """exp(-i H dt) for a (..., d, d) stack of Hermitian matrices.
 
@@ -246,10 +222,31 @@ def ordered_product(us: np.ndarray) -> np.ndarray:
     return us[..., 0, :, :]
 
 
-def evolve_schedule(schedule: ControlSchedule) -> np.ndarray:
-    """Propagator of a piecewise-constant schedule (right-to-left product)."""
-    mats = np.stack([h.entries for _, h in schedule.segments])
-    durations = np.array([dt for dt, _ in schedule.segments])
+def _checked_schedule(durations, mats) -> tuple[np.ndarray, np.ndarray]:
+    """A schedule's (K,) durations and (K, d, d) stack as float and complex arrays, checked.
+
+    An empty schedule, a duration that is not finite and positive, or a
+    shape mismatch raises GridMismatchError; the stack is held to
+    ``SectorMatrix``'s Hermitian and finiteness rule, all matrices at once.
+    """
+    durations, mats = np.asarray(durations, dtype=float), np.asarray(mats, dtype=complex)
+    if not (durations.size and mats.size):
+        raise GridMismatchError("schedule needs at least one segment, of dimension >= 1")
+    if durations.ndim != 1 or mats.shape != durations.shape + mats.shape[-1:] * 2:
+        raise GridMismatchError(f"a schedule is (K,) durations and a (K, d, d) stack, "
+                                f"got {durations.shape} and {mats.shape}")
+    bad = durations[~(np.isfinite(durations) & (durations > 0))]
+    if bad.size:
+        raise GridMismatchError(f"segment durations must be finite and positive, got {bad[0]}")
+    with np.errstate(invalid="ignore", over="ignore"):  # inf - inf, huge - -huge
+        if (mats - np.swapaxes(mats.conj(), -1, -2)).any():
+            require_near_hermitian(mats)
+    return durations, mats
+
+
+def evolve_schedule(schedule) -> np.ndarray:
+    """Propagator U_K ... U_1 of a (durations, mats) schedule (see ``_checked_schedule``)."""
+    durations, mats = _checked_schedule(*schedule)
     return ordered_product(segment_propagators(mats, durations))
 
 
@@ -298,7 +295,7 @@ def lr_commutator_check(model: SpinModel, t: float) -> complex:
     and propagated; no 2^N matrix is.  The two columns are then laid out
     in the 2^N space for the gate and the sigma_y terms.
     """
-    _require_finite_time(t)
+    require_finite(time=t)
     if model.n > LR_MAX_QUBITS:
         raise SizeLimitError(
             f"commutator check limited to n <= {LR_MAX_QUBITS}, got n={model.n}")

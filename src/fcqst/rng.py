@@ -22,6 +22,8 @@ from the Box-Muller transform applied to consecutive index pairs.
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 # Python ints: they stay uint64 in array arithmetic and exact in derive_key
@@ -66,10 +68,10 @@ def _mix64_int(x: int) -> int:
 
 
 def derive_key(seed: int, *indices: int) -> int:
-    """Fold a seed and substream indices into a 64-bit stream key."""
-    k = _mix64_int(seed & _MASK)
+    """Fold a seed and substream indices, Python or numpy integers, into a 64-bit stream key."""
+    k = _mix64_int(operator.index(seed) & _MASK)
     for idx in indices:
-        k = _mix64_int(k ^ (_GOLDEN * (idx + 1) & _MASK))
+        k = _mix64_int(k ^ (_GOLDEN * (operator.index(idx) + 1) & _MASK))
     return k
 
 

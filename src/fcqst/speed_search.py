@@ -37,14 +37,9 @@ import numpy as np
 
 from .effective3 import coupling_bounds, effective_matrices
 from .exceptions import InvalidSizeError
-from .propagator import (
-    ControlSchedule,
-    minimum_transfer_time,
-    ordered_product,
-    segment_propagators,
-)
+from .propagator import minimum_transfer_time, ordered_product, segment_propagators
 from .rng import KeyedStream
-from .spin_model import EFFECTIVE3, SectorMatrix, require_transfer_size
+from .spin_model import require_integer, require_transfer_size
 
 # Per-segment parameter layout of each control class.  A row is
 # (couplings, diagonals): the columns (re, im) of j1a, jan and j1n, with im
@@ -66,10 +61,12 @@ def _control_class(controls: str):
                                f"got {controls!r}") from None
 
 
-def _require_search_size(n: int, j0: float, n_segments: int, restarts: int) -> None:
-    """Raise InvalidSizeError unless (n, j0) is a transfer size and both counts are >= 1."""
+def _require_search_size(n: int, j0: float, n_segments: int, restarts: int, seed: int) -> None:
+    """Raise InvalidSizeError unless (n, j0) is a transfer size, both counts are integers >= 1
+    and the seed is an integer."""
     require_transfer_size(n, j0)
-    if n_segments < 1 or restarts < 1:
+    require_integer(seed, "seed")
+    if require_integer(n_segments, "n_segments") < 1 or require_integer(restarts, "restarts") < 1:
         raise InvalidSizeError("need n_segments >= 1, restarts >= 1")
 
 
@@ -293,7 +290,7 @@ def optimize_pulse(n: int, j0: float, total_time: float, n_segments: int,
     couplings of either sign with free real diagonals (loop flux 0 or pi),
     "real_symmetric" the narrower j1a = jan, d1 = dn = 0 class.
     """
-    _require_search_size(n, j0, n_segments, restarts)
+    _require_search_size(n, j0, n_segments, restarts, seed)
     _require_total_time(total_time)
     problem = _Problem(n, j0, total_time, n_segments, controls)
     if total_time == 0:
@@ -320,11 +317,9 @@ def optimize_pulse(n: int, j0: float, total_time: float, n_segments: int,
                         evaluations=total_evals, seed=seed, restarts_hit_bound=hit_bound)
 
 
-def pulse_to_schedule(pulse: PulseParams) -> ControlSchedule:
-    """ControlSchedule view of a pulse, for independent fidelity recomputation."""
-    dt = pulse.total_time / pulse.n_segments
-    return ControlSchedule(segments=tuple(
-        (dt, SectorMatrix(basis_tag=EFFECTIVE3, entries=h)) for h in pulse.matrices()))
+def pulse_to_schedule(pulse: PulseParams) -> tuple[np.ndarray, np.ndarray]:
+    """The (durations, matrices) schedule of a pulse, for ``evolve_schedule``."""
+    return np.full(pulse.n_segments, pulse.total_time / pulse.n_segments), pulse.matrices()
 
 
 @dataclass(frozen=True)
@@ -349,7 +344,7 @@ def min_time_bisection(n: int, j0: float, fid_target: float, time_tol: float,
     :func:`optimize_pulse`; ``samples`` holds each probe's own result.
     """
     # bad sizes and an unknown class raise before the trivial return
-    _require_search_size(n, j0, n_segments, restarts)
+    _require_search_size(n, j0, n_segments, restarts, seed)
     _control_class(controls)
     if not (math.isfinite(time_tol) and time_tol > 0):
         raise InvalidSizeError(f"time_tol must be finite and positive, got {time_tol}")

@@ -27,8 +27,10 @@ Conventions
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,6 +49,7 @@ FULL_SPACE = "full_space"
 EFFECTIVE3 = "effective3"
 
 HERMITICITY_TOL = 1e-12
+NON_FINITE_MATRIX = "matrix entries must be finite"
 FULL_SPACE_MAX_QUBITS = 12
 # Above this dimension the exact Hermitian check runs its tile rows on
 # several threads.  Two workers against one on a 2-CPU Xeon, two runs:
@@ -68,9 +71,24 @@ def require_positive_j0(j0: float) -> None:
         raise InvalidSizeError(f"j0 must be finite and positive, got {j0}")
 
 
+def require_finite(**values) -> None:
+    """Raise InvalidSizeError naming the first real or complex value that is not finite (None passes)."""
+    for name, value in values.items():
+        if value is not None and not cmath.isfinite(value):
+            raise InvalidSizeError(f"{name} must be finite, got {value}")
+
+
+def require_integer(value, name: str) -> int:
+    """``value`` as an int if it is an integer (numpy integers too), else InvalidSizeError."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise InvalidSizeError(f"{name} must be an integer, got {value!r}") from None
+
+
 def require_transfer_size(n: int, j0: float) -> None:
-    """Raise InvalidSizeError unless n >= 3 (an intermediate qubit) and j0 is valid."""
-    if n < 3:
+    """Raise InvalidSizeError unless n is an integer >= 3 (an intermediate qubit) and j0 is valid."""
+    if require_integer(n, "n") < 3:
         raise InvalidSizeError(
             f"transfer construction needs n >= 3 (an intermediate qubit), got n={n}")
     require_positive_j0(j0)
@@ -104,6 +122,16 @@ def _exactly_hermitian(m: np.ndarray) -> bool:
 
     run_parallel(rows, usable_workers(rows) if len(m) > PARALLEL_MIN_DIM else 1, check_row)
     return not unequal
+
+
+def require_near_hermitian(m: np.ndarray) -> None:
+    """Raise unless each matrix of a (..., d, d) stack is finite (InvalidSizeError) and within
+    ``HERMITICITY_TOL`` of Hermitian, scaled by its largest entry (HermiticityError)."""
+    if not np.isfinite(m).all():
+        raise InvalidSizeError(NON_FINITE_MATRIX)
+    herm = np.abs(m - np.swapaxes(m.conj(), -1, -2)).max(axis=(-2, -1))
+    if (herm > HERMITICITY_TOL * np.maximum(1.0, np.abs(m).max(axis=(-2, -1)))).any():
+        raise HermiticityError(f"matrix not Hermitian: max deviation {herm.max():.3e}")
 
 
 def _unequal_tile_row(m: np.ndarray, i: int) -> bool:
@@ -213,7 +241,7 @@ class SpinModel:
     fields: tuple[float, ...] = ()
 
     def __post_init__(self):
-        if self.n < 2:
+        if require_integer(self.n, "n") < 2:
             raise InvalidSizeError(f"need at least 2 qubits, got n={self.n}")
         object.__setattr__(self, "couplings",
                            _pair_matrix(self.n, self.couplings, complex, "couplings"))
@@ -249,20 +277,14 @@ class SectorMatrix:
         m = _read_only(self.entries, complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise BasisError(f"entries must be square, got shape {m.shape}")
-        finite = "sector entries and vacuum phase rate must be finite"
         if not math.isfinite(self.vacuum_phase_rate):
-            raise InvalidSizeError(finite)
+            raise InvalidSizeError("vacuum phase rate must be finite")
         dim = m.shape[0]
         proven, exact = False, False
         if self.basis_tag == FULL_SPACE and dim and not dim & (dim - 1):
             proven, exact = _prove_blocks(m)
         if not (exact if proven else _exactly_hermitian(m)):
-            if not np.isfinite(m).all():
-                raise InvalidSizeError(finite)
-            scale = max(1.0, float(np.abs(m).max()))
-            herm = float(np.abs(m - m.conj().T).max())
-            if herm > HERMITICITY_TOL * scale:
-                raise HermiticityError(f"matrix not Hermitian: max deviation {herm:.3e}")
+            require_near_hermitian(m)
         if self.basis_tag == EFFECTIVE3 and dim != 3:
             raise BasisError(f"effective3 sector must be 3x3, got {dim}")
         if self.basis_tag == FULL_SPACE and dim & (dim - 1):

@@ -351,6 +351,29 @@ def qb_residuals_loop(segments, m_traj, n, j0):
 # couplings take (Re, Im) column pairs, "real" one column per coupling and
 # "real_symmetric" the columns (j1a = jan, j1n, da).
 
+def interaction_picture_loop(schedule, slices_per_segment):
+    """``to_interaction_picture`` slice by slice, with a running phase and scalar products.
+
+    The per-slice loop the array form replaced: Theta starts at 0 and
+    adds d dt after each segment; slice s of a segment gets the phases at
+    Theta + d (dt / S) (s + 0.5).
+    """
+    out_dts, out_mats = [], []
+    theta = np.zeros(3)
+    for dt, h in zip(*schedule):
+        dvec = h.diagonal().real
+        sub = dt / slices_per_segment
+        for s in range(slices_per_segment):
+            mid = theta + dvec * sub * (s + 0.5)
+            p1, pa, pn = np.exp(1j * mid)
+            out_dts.append(sub)
+            out_mats.append(effective3_literal(h[0, 1] * p1 * np.conj(pa),
+                                               h[1, 2] * pa * np.conj(pn),
+                                               h[0, 2] * p1 * np.conj(pn), 0.0, 0.0, 0.0))
+        theta = theta + dvec * dt
+    return np.array(out_dts), np.array(out_mats)
+
+
 def _disc(values, bound):
     mags = np.abs(values)
     over = mags > bound

@@ -323,6 +323,18 @@ def test_case_unitary_rejects_non_finite_inputs(case_id, kwargs):
             case_unitary(case_id, 4, 1.0, t, **kwargs)
     with pytest.raises(InvalidSizeError, match="phi_1n must be finite"):
         case_unitary(case_id, 4, 1.0, 0.3, phi_1n=np.nan, **kwargs)
+    # case_hamiltonian names its own inputs: phi_1n = inf used to raise a
+    # RuntimeWarning from np.exp (an error naming j1n without the warning
+    # filter), and c1a = nan an error naming d1; case 6's stationary
+    # solution reads phi_1n through it
+    for bad in (np.nan, np.inf):
+        with pytest.raises(InvalidSizeError, match="phi_1n must be finite"):
+            case_hamiltonian(case_id, 4, 1.0, phi_1n=bad, **kwargs)
+        with pytest.raises(InvalidSizeError, match="c1a must be finite"):
+            case_hamiltonian(case_id, 4, 1.0, c1a=bad, **kwargs)
+        if case_id == 6:
+            with pytest.raises(InvalidSizeError, match="phi_1n must be finite"):
+                case_stationary_solution(case_id, 4, 1.0, phi_1n=bad)
 
 
 def test_case_unitary_unsupported():

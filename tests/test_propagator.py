@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from fcqst import (
-    ControlSchedule,
     SpinModel,
     build_h_opt,
     build_h_opt_prime,
@@ -55,10 +54,6 @@ from oracles import (
     transfer_form_unitary,
     unbatched_eigh_propagator,
 )
-
-
-def _sector(mat, tag=EFFECTIVE3):
-    return SectorMatrix(basis_tag=tag, entries=np.asarray(mat, dtype=complex))
 
 
 def _random_hermitian(dim, seed):
@@ -151,44 +146,58 @@ def test_optimal_matrix_transfers_at_quoted_time(n, t):
 
 
 def test_non_hermitian_rejected():
+    # a matrix, and a schedule stack with one bad segment, under SectorMatrix's
+    # rule: not Hermitian beyond tolerance, or not finite
     with pytest.raises(HermiticityError):
         evolve_constant(np.array([[0, 1], [0, 0]], dtype=complex), 1.0)
+    stack = np.stack([_random_hermitian(3, 0), _random_hermitian(3, 1)])
+    skewed, nan = stack.copy(), stack.copy()
+    skewed[1, 0, 2] += 1e-6
+    nan[1, 1, 1] = np.nan
+    for mats, error in ((skewed, HermiticityError), (nan, InvalidSizeError)):
+        with pytest.raises(error):
+            evolve_schedule((np.ones(2), mats))
 
 
 def test_schedule_single_segment_matches_constant():
     h = _random_hermitian(3, 0)
-    sched = ControlSchedule(segments=((0.7, _sector(h)),))
+    sched = (np.array([0.7]), np.array([h]))
     assert np.abs(evolve_schedule(sched) - evolve_constant(h, 0.7)).max() < 1e-14
 
 
 def test_schedule_semigroup_property():
     h = _random_hermitian(3, 1)
-    sched = ControlSchedule(segments=((0.3, _sector(h)), (0.9, _sector(h))))
+    sched = (np.array([0.3, 0.9]), np.array([h, h]))
     assert np.abs(evolve_schedule(sched) - evolve_constant(h, 1.2)).max() < 1e-12
 
 
 def test_schedule_forward_backward_cancels():
     h = _random_hermitian(3, 2)
-    sched = ControlSchedule(segments=((0.4, _sector(h)), (0.4, _sector(-h))))
+    sched = (np.array([0.4, 0.4]), np.array([h, -h]))
     assert np.abs(evolve_schedule(sched) - np.eye(3)).max() < 1e-12
 
 
 def test_schedule_ordering_is_right_to_left():
     a = np.diag([1.0, -1.0, 0.0]).astype(complex)
     b = np.array([[0, 1, 0], [1, 0, 0], [0, 0, 0]], dtype=complex)
-    sched = ControlSchedule(segments=((0.5, _sector(a)), (0.5, _sector(b))))
+    sched = (np.array([0.5, 0.5]), np.array([a, b]))
     expected = evolve_constant(b, 0.5) @ evolve_constant(a, 0.5)
     assert np.abs(evolve_schedule(sched) - expected).max() < 1e-14
 
 
 def test_schedule_contract_violations():
-    h3, h2 = _sector(np.zeros((3, 3))), _sector(np.zeros((2, 2)), tag=SINGLE_EXCITATION)
-    with pytest.raises(BasisError):
-        ControlSchedule(segments=((1.0, h3), (1.0, h2)))
-    with pytest.raises(GridMismatchError):
-        ControlSchedule(segments=((0.0, h3),))
-    with pytest.raises(GridMismatchError):
-        ControlSchedule(segments=())
+    zeros = np.zeros((1, 3, 3))
+    with pytest.raises(GridMismatchError, match="finite and positive"):
+        evolve_schedule((np.array([0.0]), zeros))
+    for durations, mats in ((np.empty(0), np.empty((0, 3, 3))),
+                            (np.ones(1), np.zeros((1, 0, 0)))):
+        with pytest.raises(GridMismatchError, match="at least one segment"):
+            evolve_schedule((durations, mats))
+    # durations and stack must be (K,) and (K, d, d)
+    for durations, mats in ((np.ones(2), zeros), (np.ones((1, 1)), zeros),
+                            (np.ones(1), np.zeros((1, 3, 2))), (np.ones(1), np.zeros((3, 3)))):
+        with pytest.raises(GridMismatchError, match="stack"):
+            evolve_schedule((durations, mats))
 
 
 def test_transfer_fidelity_conventions():
@@ -664,11 +673,11 @@ def test_evolve_source_rejects_non_finite_matrix(n, kind, bad):
 
 @pytest.mark.parametrize("dt", [np.nan, np.inf, -np.inf])
 def test_schedule_rejects_non_finite_duration(dt):
-    h = _sector(np.diag([1.0, -1.0, 0.0]))
+    h = np.diag([1.0, -1.0, 0.0])
     with pytest.raises(GridMismatchError, match="finite"):
-        ControlSchedule(segments=((dt, h),))
+        evolve_schedule((np.array([dt]), np.array([h])))
     with pytest.raises(GridMismatchError, match="finite"):
-        ControlSchedule(segments=((0.5, h), (dt, h)))
+        evolve_schedule((np.array([0.5, dt]), np.array([h, h])))
 
 
 def test_negative_time_runs_backwards():

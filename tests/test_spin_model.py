@@ -13,7 +13,8 @@ from fcqst import (
     project_single_excitation,
     reduce_to_effective,
 )
-from fcqst import PulseParams, spin_model
+from fcqst import (NoiseConfig, PulseParams, min_time_bisection, minimum_transfer_time,
+                   optimize_pulse, spin_model, to_interaction_picture)
 from fcqst.exceptions import FcqstError, HermiticityError, InvalidSizeError, SizeLimitError
 from fcqst.spin_model import FULL_SPACE, SINGLE_EXCITATION, _exactly_hermitian
 
@@ -67,6 +68,39 @@ def test_build_h_opt_too_small():
         build_h_opt_prime(2, 1.0)
     with pytest.raises(InvalidSizeError):
         build_h_opt(4, -1.0)
+
+
+_ONE_SEGMENT = (np.ones(1), np.eye(3)[None])
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda v: minimum_transfer_time(v, 1.0), id="minimum_transfer_time-n"),
+    pytest.param(lambda v: build_h_opt(v, 1.0), id="build_h_opt-n"),
+    pytest.param(lambda v: SpinModel(n=v), id="SpinModel-n"),
+    pytest.param(lambda v: NoiseConfig(n=5, trials=v), id="NoiseConfig-trials"),
+    pytest.param(lambda v: NoiseConfig(n=5, seed=v), id="NoiseConfig-seed"),
+    pytest.param(lambda v: optimize_pulse(4, 1.0, 1.0, v, 1, 0, max_iters=1),
+                 id="optimize_pulse-n_segments"),
+    pytest.param(lambda v: optimize_pulse(4, 1.0, 1.0, 2, v, 0, max_iters=1),
+                 id="optimize_pulse-restarts"),
+    pytest.param(lambda v: optimize_pulse(4, 1.0, 1.0, 2, 1, v, max_iters=1),
+                 id="optimize_pulse-seed"),
+    pytest.param(lambda v: min_time_bisection(4, 1.0, 0.0, 1e-3, n_segments=v),
+                 id="min_time_bisection-n_segments"),
+    pytest.param(lambda v: min_time_bisection(4, 1.0, 0.0, 1e-3, restarts=v),
+                 id="min_time_bisection-restarts"),
+    pytest.param(lambda v: min_time_bisection(4, 1.0, 0.0, 1e-3, seed=v),
+                 id="min_time_bisection-seed"),
+    pytest.param(lambda v: to_interaction_picture(_ONE_SEGMENT, slices_per_segment=v),
+                 id="to_interaction_picture-slices_per_segment"),
+])
+def test_integer_counts_reject_non_integers(call):
+    # minimum_transfer_time(4.5, 1.0) used to return 1.047, and the other
+    # calls raised a raw TypeError; numpy integers still pass
+    for bad in (4.5, 4.0, "4"):
+        with pytest.raises(InvalidSizeError, match="must be an integer"):
+            call(bad)
+    call(np.int64(4))
 
 
 def test_build_h_opt_prime_n4():
