@@ -16,7 +16,8 @@ On a control trajectory the stationarity conditions are
     lambda * s = 0          (complementarity)
 
 with F assembled from the multipliers and couplings; ``qb_residuals``
-evaluates all four on a schedule grid.
+evaluates all four on a schedule grid.  A NaN or inf argument of a case
+function raises InvalidSizeError naming it, even where the case ignores it.
 """
 
 from __future__ import annotations
@@ -141,10 +142,9 @@ def qb_residuals(segments, m_traj, n: int, j0: float) -> ResidualReport:
 
 
 def _require_case7_bar(j1n_bar: float | None, j0: float) -> None:
-    """Case 7 needs a finite source-target coupling with |j1n_bar| <= j0."""
+    """Case 7 needs a source-target coupling with |j1n_bar| <= j0."""
     if j1n_bar is None:
         raise UnsupportedCaseError("case 7 needs j1n_bar")
-    require_finite(j1n_bar=j1n_bar)
     if abs(j1n_bar) > j0 * (1.0 + 1e-12):
         raise BoundViolationError(f"|j1n_bar|={abs(j1n_bar)} exceeds j0={j0}")
 
@@ -166,6 +166,7 @@ def stationary_multipliers(case_id: int, n: int, j0: float,
       slack s1n = sqrt(j0^2 - j1n_bar^2).  At |j1n_bar| = j0 the case-8
       solution is returned (the case reduces to case 8 at saturation).
     """
+    require_finite(j1n_bar=j1n_bar)
     if case_id not in (7, 8):
         raise UnsupportedCaseError(
             f"only cases 7 and 8 have constant-control stationary solutions, got {case_id}")
@@ -192,6 +193,7 @@ def case_stationary_solution(case_id: int, n: int, j0: float,
     Supports the three solvable cases; the Hamiltonian lives in the
     zero-diagonal, constant-phase verification frame.
     """
+    require_finite(j1n_bar=j1n_bar, phi_1n=phi_1n)
     a, _, _ = coupling_bounds(n, j0)
     if case_id == 6:
         m = QBMultipliers(lam1n=1.0 / (2.0 * j0 * j0), s1a=a, san=a)
@@ -209,6 +211,7 @@ def case_minimum_time(case_id: int, n: int, j0: float,
     """Minimum transfer time of a catalog case; None where no minimum exists."""
     spec = _case(case_id)
     require_transfer_size(n, j0)
+    require_finite(j1n_bar=j1n_bar)
     if not spec.has_minimum:
         return None
     if case_id == 6:
@@ -227,10 +230,9 @@ def case_hamiltonian(case_id: int, n: int, j0: float, *, phi_1n: float = 0.0,
     Case 6 couples only source and target.  Case 7 is the mirror-symmetric
     real form with corner diagonals c1a - |j1n_bar| (c1a defaults to its
     minimal-time value 4 |j1n_bar|).  Case 8 is the saturated family form
-    with corner diagonals 3 sign j0 and relative coupling sign ``sign``.  A
-    non-finite ``phi_1n`` or ``c1a`` raises InvalidSizeError.
+    with corner diagonals 3 sign j0 and relative coupling sign ``sign``.
     """
-    require_finite(phi_1n=phi_1n, c1a=c1a)
+    require_finite(phi_1n=phi_1n, c1a=c1a, j1n_bar=j1n_bar)
     a, _, _ = coupling_bounds(n, j0)
     if case_id == 6:
         return Effective3(j1a=0.0, jan=0.0, j1n=j0 * np.exp(-1j * phi_1n))
@@ -286,10 +288,9 @@ def case_unitary(case_id: int, n: int, j0: float, t: float, *,
     Case 7: the mirror-symmetric family with free diagonal parameter c1a
     (default 4 |j1n_bar|, the minimal-time choice) and corner |j1n_bar|.
     Case 8: the saturated family on the ``sign`` branch, corner diagonal
-    3 sign j0; perfect transfer at t = pi/(j0 sqrt(2 n)).  A non-finite t or
-    phi_1n raises InvalidSizeError.
+    3 sign j0; perfect transfer at t = pi/(j0 sqrt(2 n)).
     """
-    require_finite(t=t, phi_1n=phi_1n)
+    require_finite(t=t, phi_1n=phi_1n, c1a=c1a, j1n_bar=j1n_bar)
     if case_id == 6:
         require_transfer_size(n, j0)
         ct, st = np.cos(j0 * t), np.sin(j0 * t)

@@ -9,14 +9,14 @@ are sampled by the caller.
 
 A 2^N full-space matrix of the model conserves excitation number, so it is
 block diagonal over the basis states grouped by popcount, with blocks of
-size C(N, k).  ``SectorMatrix`` proves that structure once, when it is
-built (the nonzero 64-bit words of the whole matrix must number the sum
-of the blocks'), and stores the verdict as ``block_diagonal``.
-``evolve_constant`` reads it: a proven matrix is gathered and propagated
-one block per task, above ``PARALLEL_MIN_BLOCK`` on several threads, and
-any other matrix takes the dense path.  ``lr_commutator_check`` needs only
-the vacuum and one-excitation blocks, so it builds those two from the model
-(``excitation_block``) and never the 2^N matrix.
+size C(N, k).  ``project_full_space`` builds it as those blocks, and
+``evolve_constant`` propagates it one block per task, above
+``spin_model.PARALLEL_MIN_BLOCK`` on several threads, into a zeroed 2^N
+result; it never builds or reads the dense 2^N Hamiltonian.  Any other
+matrix, a 2^N array from the caller included, takes one dense kernel call.
+``lr_commutator_check`` needs only the vacuum and one-excitation blocks, so
+it builds those two from the model (``excitation_block``) and never the
+2^N matrix.
 
 When only the evolved source state exp(-i h t)|phi_1> is needed, as in the
 noise Monte Carlo, ``evolve_source`` projects onto a short Lanczos basis
@@ -40,17 +40,18 @@ from .exceptions import (
 from .spin_model import (
     EFFECTIVE3,
     NON_FINITE_MATRIX,
-    PARALLEL_MIN_BLOCK,
     SINGLE_EXCITATION,
     SectorMatrix,
     SpinModel,
+    block_tasks,
     excitation_block,
     excitation_blocks,
+    excitation_flat_index,
     require_finite,
     require_near_hermitian,
     require_transfer_size,
 )
-from .workers import run_parallel, usable_workers
+from .workers import run_parallel
 
 LR_MAX_QUBITS = 10
 
@@ -74,32 +75,27 @@ def minimum_transfer_time(n: int, j0: float = 1.0) -> float:
 
 
 def evolve_constant(h, t: float) -> np.ndarray:
-    """exp(-i h t) of a SectorMatrix, or of an array that passes its checks."""
+    """exp(-i h t) of a SectorMatrix, or of an array that passes its checks.
+
+    A matrix held as excitation blocks is propagated one block per task,
+    largest first (``block_tasks``), into the zeroed 2^N result through
+    ``excitation_flat_index``; any other matrix takes one dense call.
+    """
     require_finite(time=t)
     if not isinstance(h, SectorMatrix):
         h = SectorMatrix(basis_tag="array", entries=h)
-    if h.block_diagonal:
-        return _excitation_block_propagator(h.entries, t)
-    return segment_propagators(h.entries, t)
+    if not h.blocks:
+        return segment_propagators(h.entries, t)
+    n = len(h.blocks) - 1
+    order, workers = block_tasks(n)
+    index = excitation_flat_index(n)
+    u = np.zeros((1 << n, 1 << n), dtype=complex)
 
+    def task(_, j):
+        k = order[j]
+        u.reshape(-1)[index[k]] = segment_propagators(h.blocks[k], t).ravel()
 
-def _excitation_block_propagator(h: np.ndarray, t: float) -> np.ndarray:
-    """exp(-i h t) for a 2^n matrix proven block diagonal.
-
-    Each block is one task, largest first: gather it with ``np.ix_``,
-    propagate it with one ``segment_propagators`` call and write its
-    entries; the tasks run on ``usable_workers`` threads once the largest
-    block exceeds ``PARALLEL_MIN_BLOCK``.
-    """
-    index = sorted(excitation_blocks(h.shape[0].bit_length() - 1), key=lambda i: -i.size)
-    u = np.zeros(h.shape, dtype=complex)
-
-    def task(_, k):
-        block = np.ix_(index[k], index[k])
-        u[block] = segment_propagators(h[block], t)
-
-    run_parallel(len(index), usable_workers(len(index)) if index[0].size > PARALLEL_MIN_BLOCK else 1,
-                 task)
+    run_parallel(n + 1, workers, task)
     return u
 
 

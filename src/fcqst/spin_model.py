@@ -8,8 +8,8 @@ with one flip-flop amplitude J_ij and one ZZ coefficient U_ij per unordered
 qubit pair, and a longitudinal field B_j per qubit.  H conserves the total
 excitation number, so it is block diagonal over excitation sectors; this
 module builds the N-dimensional single-excitation block (the workhorse for
-state transfer) and, for small N, the full 2^N matrix used as an oracle or
-any one of its excitation-number blocks on its own.
+state transfer) and, for small N, the full 2^N matrix used as an oracle,
+held as its excitation-number blocks, or any one of those blocks alone.
 
 Conventions
 -----------
@@ -31,7 +31,8 @@ import cmath
 import functools
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -51,18 +52,17 @@ EFFECTIVE3 = "effective3"
 HERMITICITY_TOL = 1e-12
 NON_FINITE_MATRIX = "matrix entries must be finite"
 FULL_SPACE_MAX_QUBITS = 12
-# Above this dimension the exact Hermitian check runs its tile rows on
-# several threads.  Two workers against one on a 2-CPU Xeon, two runs:
-# n = 256 0.64-0.72x, 500 1.01-1.14x, 512 0.96-1.20x, 768 1.03-1.33x,
-# 1024 1.44-1.64x, 2048 1.72-1.92x; the n = 500 noise models stay serial.
-PARALLEL_MIN_DIM = 512
 TILE = 128  # rows and columns of the exact Hermitian check's tiles
 # Above this largest block size (N >= 10) the excitation blocks of a 2^N
-# matrix are proven and propagated on several threads.  Two workers against
+# matrix are built and propagated on several threads.  Two workers against
 # one on a 2-CPU Xeon, one BLAS thread: N = 7 0.74-0.89x, 8 1.04-1.09x,
 # 9 1.31-1.44x, 10 1.44x, 11 1.55-1.57x; calls up to N = 9 keep to the
 # calling thread.
 PARALLEL_MIN_BLOCK = 128
+# Up to this many qubits the blocks of a 2^N matrix are taken from one build
+# over all 2^N states, which beats one build per block there (sector op, one
+# BLAS thread, 2-CPU Xeon: N = 3 0.52 vs 0.66 ms, 8 2.31 vs 2.59, 10 15.8 vs 14.9).
+ONE_PASS_MAX_QUBITS = 8
 
 
 def require_positive_j0(j0: float) -> None:
@@ -110,18 +110,11 @@ def _exactly_hermitian(m: np.ndarray) -> bool:
     mirror tile must be exactly zero, so temporaries stay tile-sized and
     every read is a short contiguous row.  Two finite floats differ by zero
     only when they are equal, and an inf or NaN entry leaves a nonzero inf
-    or NaN, so one pass also proves every entry finite.  Tile row i (the
-    tiles j >= i) is one task; above ``PARALLEL_MIN_DIM`` the rows run on
-    ``usable_workers`` threads, and a row found unequal stops the rest.
+    or NaN, so one pass also proves every entry finite.
     """
-    rows, unequal = (len(m) + TILE - 1) // TILE, []
-
-    def check_row(_, k):
-        if not unequal and _unequal_tile_row(m, k * TILE):
-            unequal.append(k)
-
-    run_parallel(rows, usable_workers(rows) if len(m) > PARALLEL_MIN_DIM else 1, check_row)
-    return not unequal
+    with np.errstate(invalid="ignore", over="ignore"):  # inf - inf, huge - -huge
+        return not any((m[i:i + TILE, j:j + TILE] - m[j:j + TILE, i:i + TILE].T.conj()).any()
+                       for i in range(0, len(m), TILE) for j in range(i, len(m), TILE))
 
 
 def require_near_hermitian(m: np.ndarray) -> None:
@@ -132,13 +125,6 @@ def require_near_hermitian(m: np.ndarray) -> None:
     herm = np.abs(m - np.swapaxes(m.conj(), -1, -2)).max(axis=(-2, -1))
     if (herm > HERMITICITY_TOL * np.maximum(1.0, np.abs(m).max(axis=(-2, -1)))).any():
         raise HermiticityError(f"matrix not Hermitian: max deviation {herm.max():.3e}")
-
-
-def _unequal_tile_row(m: np.ndarray, i: int) -> bool:
-    """Whether a tile of rows i:i + TILE, from the diagonal rightwards, differs from its mirror's conjugate transpose."""
-    with np.errstate(invalid="ignore", over="ignore"):  # inf - inf, huge - -huge
-        return any((m[i:i + TILE, j:j + TILE] - m[j:j + TILE, i:i + TILE].T.conj()).any()
-                   for j in range(i, len(m), TILE))
 
 
 @functools.cache
@@ -154,36 +140,21 @@ def excitation_blocks(n: int) -> tuple[np.ndarray, ...]:
     return blocks
 
 
-def _nonzero_words(a: np.ndarray) -> int:
-    """Number of 64-bit words of a's entries that are not all zero bits (-0.0 counts)."""
-    return np.count_nonzero(a.ravel(order="K").view(np.uint64))
+@functools.cache
+def excitation_flat_index(n: int) -> tuple[np.ndarray, ...]:
+    """Read-only positions, in a C-ordered 2^n x 2^n matrix, of the entries of each
+    excitation block of ``excitation_blocks(n)``, row major."""
+    flat = tuple((i[:, None] << n | i).ravel() for i in excitation_blocks(n))
+    for index in flat:
+        index.flags.writeable = False
+    return flat
 
 
-def _prove_blocks(m: np.ndarray) -> tuple[bool, bool]:
-    """(block diagonal in excitation number, blocks exactly Hermitian) for a 2^n matrix m.
-
-    One task counts m's nonzero 64-bit words; each block, largest first, is
-    a task that gathers it with ``np.ix_``, counts its words and runs the
-    tile rows of ``_exactly_hermitian`` on it, which also prove it finite.
-    The counts agree exactly when the blocks hold every nonzero word of m
-    (an off-block -0.0 is one).  Above ``PARALLEL_MIN_BLOCK`` the tasks run
-    on ``usable_workers`` threads.
-    """
-    index = sorted(excitation_blocks(m.shape[0].bit_length() - 1), key=lambda i: -i.size)
-    counts = [0] * (len(index) + 1)  # words of m, then of each block
-    exact = [True] * len(index)
-
-    def task(_, k):
-        if k == 0:
-            counts[0] = _nonzero_words(m)
-            return
-        b = m[np.ix_(index[k - 1], index[k - 1])]
-        counts[k] = _nonzero_words(b)
-        exact[k - 1] = not any(_unequal_tile_row(b, i) for i in range(0, len(b), TILE))
-
-    tasks = len(counts)
-    run_parallel(tasks, usable_workers(tasks) if index[0].size > PARALLEL_MIN_BLOCK else 1, task)
-    return counts[0] == sum(counts[1:]), all(exact)
+def block_tasks(n: int) -> tuple[tuple[int, ...], int]:
+    """Excitation numbers 0..n, largest block first, and the threads for one task per block:
+    ``usable_workers`` once the largest block exceeds ``PARALLEL_MIN_BLOCK``, else 1."""
+    order = tuple(sorted(range(n + 1), key=lambda k: -math.comb(n, k)))
+    return order, usable_workers(n + 1) if math.comb(n, n // 2) > PARALLEL_MIN_BLOCK else 1
 
 
 def _pair_matrix(n: int, raw, dtype, what: str) -> np.ndarray:
@@ -259,19 +230,19 @@ class SectorMatrix:
     """A Hermitian matrix in a fixed excitation-sector basis.
 
     ``vacuum_phase_rate`` is the energy of the all-|0> state, tracked as a
-    scalar because the vacuum is a decoupled one-dimensional sector.
+    scalar because the vacuum is a decoupled one-dimensional sector.  The
+    entries must pass the exact Hermitian check, or else be finite and
+    within ``HERMITICITY_TOL`` of Hermitian.
 
-    ``block_diagonal`` is whether a ``FULL_SPACE`` matrix is proven block
-    diagonal in excitation number (``_prove_blocks``); a proven one has its
-    exact Hermitian check on the blocks only, every other matrix on all of
-    it.  One that fails the exact check must be finite and within
-    ``HERMITICITY_TOL`` over the whole matrix.
+    ``blocks`` is empty for a matrix held as its entries, as every one
+    made by this constructor is.  ``project_full_space`` returns one held
+    as its excitation blocks instead.
     """
 
     basis_tag: str
     entries: np.ndarray
     vacuum_phase_rate: float = 0.0
-    block_diagonal: bool = field(init=False, default=False)
+    blocks: ClassVar[tuple[np.ndarray, ...]] = ()
 
     def __post_init__(self):
         m = _read_only(self.entries, complex)
@@ -279,23 +250,42 @@ class SectorMatrix:
             raise BasisError(f"entries must be square, got shape {m.shape}")
         if not math.isfinite(self.vacuum_phase_rate):
             raise InvalidSizeError("vacuum phase rate must be finite")
-        dim = m.shape[0]
-        proven, exact = False, False
-        if self.basis_tag == FULL_SPACE and dim and not dim & (dim - 1):
-            proven, exact = _prove_blocks(m)
-        if not (exact if proven else _exactly_hermitian(m)):
+        if not _exactly_hermitian(m):
             require_near_hermitian(m)
+        dim = m.shape[0]
         if self.basis_tag == EFFECTIVE3 and dim != 3:
             raise BasisError(f"effective3 sector must be 3x3, got {dim}")
         if self.basis_tag == FULL_SPACE and dim & (dim - 1):
             raise BasisError(f"full-space dimension must be a power of 2, got {dim}")
         object.__setattr__(self, "entries", m)
         object.__setattr__(self, "vacuum_phase_rate", float(self.vacuum_phase_rate))
-        object.__setattr__(self, "block_diagonal", proven)
 
     @property
     def dim(self) -> int:
         return self.entries.shape[0]
+
+
+class _ExcitationBlockMatrix(SectorMatrix):
+    """A ``FULL_SPACE`` SectorMatrix held as read-only blocks, ``blocks[k]`` on the
+    states ``excitation_blocks(n)[k]``; ``entries`` is assembled from them on first read."""
+
+    def __init__(self, blocks: tuple[np.ndarray, ...]):
+        object.__setattr__(self, "basis_tag", FULL_SPACE)
+        object.__setattr__(self, "vacuum_phase_rate", float(blocks[0][0, 0].real))
+        object.__setattr__(self, "blocks", blocks)
+
+    @functools.cached_property
+    def entries(self) -> np.ndarray:
+        n = len(self.blocks) - 1
+        m = np.zeros((1 << n, 1 << n), dtype=complex)
+        for block, index in zip(self.blocks, excitation_flat_index(n)):
+            m.reshape(-1)[index] = block.ravel()
+        m.flags.writeable = False
+        return m
+
+    @property
+    def dim(self) -> int:
+        return 1 << (len(self.blocks) - 1)
 
 
 def build_h_opt(n: int, j0: float) -> SpinModel:
@@ -376,31 +366,22 @@ def _hamiltonian_on(model: SpinModel, states: np.ndarray) -> np.ndarray:
     entry for entry.
     """
     n, dim = model.n, states.size
-    everything = dim == 1 << n  # then a state's position is its label
-    pos = np.arange(dim)
+    bits = (states[:, None] >> np.arange(n)) & 1
+    z = 1.0 - 2.0 * bits  # z_q(s) = +1 when bit q of s is 0, else -1 (q counts qubits from 0 here)
+    # The field terms, then the ZZ terms in pair order, summed onto a zero
+    # diagonal one at a time: a left-to-right cumsum along the row.
+    zi, zj, u = _upper_pairs(model.zz)
+    terms = np.hstack((np.zeros((dim, 1)), z * model.fields, u * z[:, zi] * z[:, zj]))
     h = np.zeros((dim, dim), dtype=complex)
-
-    # z_q(s) = +1 when bit q of s is 0, else -1 (q counts qubits from 0 here)
-    def zsign(q: int) -> np.ndarray:
-        return 1.0 - 2.0 * ((states >> q) & 1)
-
-    diag = np.zeros(dim)
-    for q in range(n):
-        diag += model.fields[q] * zsign(q)
-    for i, j, u in zip(*_upper_pairs(model.zz)):
-        diag += u * zsign(i) * zsign(j)
-    h[pos, pos] = diag
+    np.fill_diagonal(h, np.cumsum(terms, axis=1)[:, -1])
 
     # J_ij s+_i s-_j maps states with qubit j excited, i not, onto i excited,
     # which has the same excitation number and so is in the list.  Distinct
     # pairs make distinct off-diagonal transitions, so one update per
     # triangle adds every pair's term to a zero entry exactly once.
     rows, cols, vals = _upper_pairs(model.couplings)
-    bits = (states[:, None] >> np.arange(n)) & 1
     src, pair = np.nonzero((bits[:, cols] == 1) & (bits[:, rows] == 0))
-    dst = (src if everything else states[src]) ^ (1 << rows[pair]) ^ (1 << cols[pair])
-    if not everything:
-        dst = np.searchsorted(states, dst)
+    dst = np.searchsorted(states, states[src] ^ (1 << rows[pair]) ^ (1 << cols[pair]))
     h[dst, src] += vals[pair]
     h[src, dst] += vals[pair].conj()
     return h
@@ -412,14 +393,33 @@ def excitation_block(model: SpinModel, k: int) -> np.ndarray:
 
 
 def project_full_space(model: SpinModel) -> SectorMatrix:
-    """Dense 2^N x 2^N matrix of the Hamiltonian (oracle for small N)."""
+    """The 2^N x 2^N matrix of the Hamiltonian (oracle for small N), held as its excitation blocks.
+
+    Each block is one task, largest first (``block_tasks``): built by
+    ``excitation_block`` (or up to ``ONE_PASS_MAX_QUBITS`` taken from one
+    build over all 2^N states), it passes ``SectorMatrix``'s Hermitian rule.
+    The dense ``entries``, assembled only when read, are bit for bit those
+    of ``_hamiltonian_on`` on all 2^N states.
+    """
     n = model.n
     if n > FULL_SPACE_MAX_QUBITS:
         raise SizeLimitError(
             f"full-space build limited to n <= {FULL_SPACE_MAX_QUBITS}, got n={n}")
-    h = _hamiltonian_on(model, np.arange(1 << n))
-    h.flags.writeable = False
-    return SectorMatrix(basis_tag=FULL_SPACE, entries=h, vacuum_phase_rate=float(h[0, 0].real))
+    order, workers = block_tasks(n)
+    blocks = [None] * (n + 1)
+    whole = _hamiltonian_on(model, np.arange(1 << n)).ravel() if n <= ONE_PASS_MAX_QUBITS else None
+
+    def build(_, j):
+        k = order[j]
+        block = (excitation_block(model, k) if whole is None
+                 else whole[excitation_flat_index(n)[k]].reshape(math.comb(n, k), -1))
+        if not _exactly_hermitian(block):
+            require_near_hermitian(block)  # raises: a built block is Hermitian unless non-finite
+        block.flags.writeable = False
+        blocks[k] = block
+
+    run_parallel(n + 1, workers, build)
+    return _ExcitationBlockMatrix(tuple(blocks))
 
 
 def check_coupling_bounds(model: SpinModel, j0: float) -> ConstraintReport:

@@ -1,4 +1,4 @@
-"""The one thread runner and CPU/BLAS rule: noise trials, 2^N blocks and Hermitian tile rows."""
+"""The one thread runner and CPU/BLAS rule, shared by the noise trials and the 2^N excitation blocks."""
 
 from __future__ import annotations
 

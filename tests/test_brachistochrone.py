@@ -332,9 +332,19 @@ def test_case_unitary_rejects_non_finite_inputs(case_id, kwargs):
             case_hamiltonian(case_id, 4, 1.0, phi_1n=bad, **kwargs)
         with pytest.raises(InvalidSizeError, match="c1a must be finite"):
             case_hamiltonian(case_id, 4, 1.0, c1a=bad, **kwargs)
-        if case_id == 6:
-            with pytest.raises(InvalidSizeError, match="phi_1n must be finite"):
-                case_stationary_solution(case_id, 4, 1.0, phi_1n=bad)
+        # every argument is checked at entry, also where the case ignores it
+        with pytest.raises(InvalidSizeError, match="phi_1n must be finite"):
+            case_stationary_solution(case_id, 4, 1.0, phi_1n=bad, **kwargs)
+        with pytest.raises(InvalidSizeError, match="c1a must be finite"):
+            case_unitary(case_id, 4, 1.0, 0.3, c1a=bad, **kwargs)
+        bad_bar = {**kwargs, "j1n_bar": bad}
+        for call in (lambda: case_hamiltonian(case_id, 4, 1.0, **bad_bar),
+                     lambda: case_unitary(case_id, 4, 1.0, 0.3, **bad_bar),
+                     lambda: case_stationary_solution(case_id, 4, 1.0, **bad_bar),
+                     lambda: case_minimum_time(case_id, 4, 1.0, **bad_bar),
+                     lambda: stationary_multipliers(case_id, 4, 1.0, **bad_bar)):
+            with pytest.raises(InvalidSizeError, match="j1n_bar must be finite"):
+                call()
 
 
 def test_case_unitary_unsupported():

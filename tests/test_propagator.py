@@ -404,6 +404,35 @@ def test_full_space_propagator_by_excitation_blocks(n):
         assert not u[num[:, None] != num[None, :]].any()  # exactly zero between blocks
 
 
+@pytest.mark.parametrize("n", [10, 11])
+def test_block_built_propagator_at_ten_and_eleven_qubits(n):
+    h = project_full_space(_random_model(n, 40 + n))
+    num = excitation_number(n)
+    u = evolve_constant(h, 0.37)
+    assert np.abs(u - eig_propagator(h.entries, 0.37)).max() < 1e-12
+    assert not u[num[:, None] != num[None, :]].any()  # exactly zero between blocks
+
+
+@pytest.mark.parametrize("builder", [build_h_opt, build_h_opt_prime])
+def test_full_space_oracle_builds_no_dense_matrix(monkeypatch, builder):
+    # at N = 11 the matrix is built and propagated block by block: nothing
+    # of 2^N rows is built, and the dense entries are never assembled
+    n = 11
+    sizes = []
+    real = spin_model._hamiltonian_on
+
+    def spy(m, states):
+        sizes.append(states.size)
+        return real(m, states)
+
+    monkeypatch.setattr(spin_model, "_hamiltonian_on", spy)
+    h = project_full_space(builder(n, 1.0))
+    u = evolve_constant(h, 0.37)
+    assert sorted(sizes) == sorted(math.comb(n, k) for k in range(n + 1))
+    assert "entries" not in vars(h)
+    assert u.shape == (1 << n, 1 << n)
+
+
 def _spy_on_workers(monkeypatch, workers=None, module=propagator):
     """Record the worker count of every run_parallel call of ``module``; force it to ``workers`` if given."""
     seen = []
@@ -434,18 +463,33 @@ def test_block_propagator_is_independent_of_the_worker_count(monkeypatch, n, mod
 
 
 def test_block_propagator_threads_only_above_the_crossover(monkeypatch, two_cpus_one_blas_thread):
-    # the models are built first, so the spies see only the block proofs
-    # at construction and the block propagations
-    models = [build_h_opt(n, 1.0) for n in (9, 10)]
-    proofs = _spy_on_workers(monkeypatch, module=spin_model)
-    hs = [project_full_space(model) for model in models]
-    seen = _spy_on_workers(monkeypatch)
-    for h in hs:
-        evolve_constant(h, 0.37)
+    # one task per excitation block, on two threads from N = 10 on: the
+    # build in project_full_space and the propagation in evolve_constant
+    builds = _spy_on_workers(monkeypatch, module=spin_model)
+    propagations = _spy_on_workers(monkeypatch)
+    for n in (9, 10):
+        evolve_constant(project_full_space(build_h_opt(n, 1.0)), 0.37)
     assert math.comb(9, 4) <= spin_model.PARALLEL_MIN_BLOCK < math.comb(10, 5)
-    assert propagator.PARALLEL_MIN_BLOCK is spin_model.PARALLEL_MIN_BLOCK
-    assert proofs == [1, 2]
-    assert seen == [1, 2]
+    assert builds == [1, 2]
+    assert propagations == [1, 2]
+
+
+def test_failing_block_build_fails_the_call_and_leaves_no_thread(monkeypatch,
+                                                               two_cpus_one_blas_thread):
+    # a block task whose block fails the exact Hermitian check raises it
+    real = spin_model._hamiltonian_on
+
+    def nan_in_largest(model, states):
+        h = real(model, states)
+        if states.size == math.comb(10, 5):
+            h[1, 2] = np.nan
+        return h
+
+    monkeypatch.setattr(spin_model, "_hamiltonian_on", nan_in_largest)
+    before = threading.active_count()
+    with pytest.raises(InvalidSizeError, match="finite"):
+        project_full_space(build_h_opt(10, 1.0))
+    assert threading.active_count() == before
 
 
 class _BlockFailure(Exception):
@@ -476,48 +520,48 @@ def test_full_space_matrix_mixing_excitation_numbers_takes_dense_path():
     entries = np.array(project_full_space(build_h_opt(4, 1.0)).entries)
     entries[0, 1] = entries[1, 0] = 0.3  # couples excitation numbers 0 and 1
     h = SectorMatrix(basis_tag=FULL_SPACE, entries=entries)
-    assert not h.block_diagonal
+    assert not h.blocks
     u = evolve_constant(h, 0.37)
     assert np.array_equal(u, segment_propagators(h.entries, 0.37))
     assert abs(u[1, 0]) > 0.0
 
 
 def test_off_block_negative_zero_takes_dense_path():
-    # the proof counts 64-bit words, so a -0.0 between blocks is a nonzero word
+    # a caller's 2^N matrix is never split into blocks, whatever its entries
     entries = np.array(project_full_space(build_h_opt(4, 1.0)).entries)
     entries[0, 1] = entries[1, 0] = -0.0  # between excitation numbers 0 and 1
     h = SectorMatrix(basis_tag=FULL_SPACE, entries=entries)
-    assert not h.block_diagonal
+    assert not h.blocks
     assert np.array_equal(evolve_constant(h, 0.37), segment_propagators(h.entries, 0.37))
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
 def test_mixing_matrix_takes_dense_path_with_any_worker_count(monkeypatch, workers):
-    # every block task of the proof runs before it fails at construction,
-    # then the whole-matrix Hermitian check; the dense result follows
+    # a caller's 2^N matrix is checked whole on the calling thread and
+    # propagated by one dense call, whatever the worker count
     entries = np.array(project_full_space(build_h_opt(10, 1.0)).entries)
     entries[0, 1] = entries[1, 0] = 0.3  # couples excitation numbers 0 and 1
     before = threading.active_count()
-    seen = _spy_on_workers(monkeypatch, workers, module=spin_model)
+    checks = _spy_on_workers(monkeypatch, workers, module=spin_model)
     h = SectorMatrix(basis_tag=FULL_SPACE, entries=entries)
-    assert seen == [workers, workers]  # the proof, then the whole-matrix Hermitian check
-    assert threading.active_count() == before
-    assert not h.block_diagonal
-    blocks = _spy_on_workers(monkeypatch)
+    blocks = _spy_on_workers(monkeypatch, workers)
     u = evolve_constant(h, 0.37)
-    assert blocks == []
+    assert checks == [] and blocks == []
+    assert threading.active_count() == before
+    assert not h.blocks
     assert np.array_equal(u, segment_propagators(h.entries, 0.37))
     assert abs(u[1, 0]) > 0.0
 
 
 @pytest.mark.parametrize("n", [6, 10])
 def test_fortran_ordered_full_space_matrix_gives_the_same_propagator(n):
-    c_order = project_full_space(_random_model(n, 60 + n))
-    f_entries = np.asfortranarray(c_order.entries)
+    entries = project_full_space(_random_model(n, 60 + n)).entries
+    c_order = SectorMatrix(basis_tag=FULL_SPACE, entries=entries)
+    f_entries = np.asfortranarray(entries)
     f_entries.flags.writeable = False
     f_order = SectorMatrix(basis_tag=FULL_SPACE, entries=f_entries)
     assert f_order.entries is f_entries and not f_entries.flags.c_contiguous  # kept as given
-    assert f_order.block_diagonal and c_order.block_diagonal
+    assert c_order.entries is entries and entries.flags.c_contiguous
     for t in (0.37, 1.0):
         assert np.array_equal(evolve_constant(f_order, t), evolve_constant(c_order, t))
 
@@ -529,7 +573,7 @@ def test_excitation_block_columns_are_columns_of_the_propagator(n):
     models = [_random_model(n, 80 + n)] + ([build_h_opt(n, 1.0)] if n >= 3 else [])
     for model in models:
         h = project_full_space(model)
-        assert h.block_diagonal
+        assert len(h.blocks) == n + 1
         for t in (0.0, 0.37, -1.2):
             u = evolve_constant(h, t)
             for k, i in enumerate(excitation_blocks(n)):
@@ -537,40 +581,40 @@ def test_excitation_block_columns_are_columns_of_the_propagator(n):
                                       u[np.ix_(i, i)])
 
 
-def _spy_on_words(monkeypatch):
-    """Record the shape of every array whose 64-bit words the block proof counts."""
+def _spy_on_checks(monkeypatch):
+    """Record the shape of every matrix the exact Hermitian check reads."""
     calls = []
-    real = spin_model._nonzero_words
+    real = spin_model._exactly_hermitian
 
-    def spy(a):
-        calls.append(a.shape)
-        return real(a)
+    def spy(m):
+        calls.append(m.shape)
+        return real(m)
 
-    monkeypatch.setattr(spin_model, "_nonzero_words", spy)
+    monkeypatch.setattr(spin_model, "_exactly_hermitian", spy)
     return calls
 
 
 @pytest.mark.parametrize("n", [4, 10])
 def test_proven_matrix_is_not_proven_again(monkeypatch, n):
+    # each block is checked once, when it is built; propagating the matrix
+    # and the commutator check (blocks 0 and 1 built alone) check nothing
     model = build_h_opt(n, 1.0)
-    calls = _spy_on_words(monkeypatch)
+    calls = _spy_on_checks(monkeypatch)
     h = project_full_space(model)
-    assert h.block_diagonal
-    assert sorted(calls) == sorted([(1 << n, 1 << n)] + [(i.size, i.size) for i in excitation_blocks(n)])
+    assert sorted(calls) == sorted((i.size, i.size) for i in excitation_blocks(n))
     calls.clear()
     evolve_constant(h, 0.37)
     assert calls == []
     lr_commutator_check(model, 0.37)
-    assert calls == []  # it builds blocks 0 and 1 alone, with nothing to prove
+    assert calls == []
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, complex(np.inf, 1.0)])
 @pytest.mark.parametrize("n", [4, 10])
 def test_off_block_non_finite_entry_raises(n, value):
-    # the entry breaks the block proof, and the whole-matrix check finds it
+    # a caller's 2^N matrix is checked whole, so an entry between blocks shows
     entries = np.array(project_full_space(build_h_opt(n, 1.0)).entries)
     entries[0, 1] = value  # between excitation numbers 0 and 1
-    assert not spin_model._prove_blocks(entries)[0]
     with pytest.raises(InvalidSizeError, match="finite"):
         SectorMatrix(basis_tag=FULL_SPACE, entries=entries)
     entries[1, 0] = np.conj(value)  # a mirrored pair
@@ -581,28 +625,24 @@ def test_off_block_non_finite_entry_raises(n, value):
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, complex(np.inf, 1.0)])
 @pytest.mark.parametrize("n", [4, 10])
 def test_in_block_non_finite_entry_raises(n, value):
-    # the block proof holds, and the Hermitian check on the blocks finds it
+    # the whole-matrix check finds it inside a block too
     full = np.array(project_full_space(build_h_opt(n, 1.0)).entries)
     dim = 1 << n
     for i, j in [(0, 0), (1, 2), (2, 1), (3, 5), (3, 3), (dim - 1, dim - 1)]:
         entries = full.copy()
         entries[i, j] = value
-        assert spin_model._prove_blocks(entries) == (True, False)
         with pytest.raises(InvalidSizeError, match="finite"):
             SectorMatrix(basis_tag=FULL_SPACE, entries=entries)
 
 
 @pytest.mark.parametrize("n", [4, 10])
-def test_hermitian_defect_within_tolerance_keeps_the_block_path(n):
+def test_hermitian_defect_within_tolerance_takes_the_dense_path(n):
     entries = np.array(project_full_space(_random_model(n, 70 + n)).entries)
     entries[1, 2] += 1e-15  # inside excitation block 1, not mirrored
     h = SectorMatrix(basis_tag=FULL_SPACE, entries=entries)
-    assert h.block_diagonal and not _exactly_hermitian(h.entries)
+    assert not h.blocks and not _exactly_hermitian(h.entries)
     for t in (0.37, 1.0):
-        blockwise = np.zeros(entries.shape, dtype=complex)
-        for i in excitation_blocks(n):
-            blockwise[np.ix_(i, i)] = segment_propagators(entries[np.ix_(i, i)], t)
-        assert np.array_equal(evolve_constant(h, t), blockwise)
+        assert np.array_equal(evolve_constant(h, t), segment_propagators(entries, t))
     entries[1, 2] += 1e-6  # beyond HERMITICITY_TOL: the whole-matrix deviation is reported
     herm = np.abs(entries - entries.conj().T).max()
     assert herm > HERMITICITY_TOL * np.abs(entries).max()
@@ -611,8 +651,9 @@ def test_hermitian_defect_within_tolerance_keeps_the_block_path(n):
 
 
 def test_non_power_of_two_full_space_matrix_raises_before_the_block_proof(monkeypatch):
-    # the tile check still comes first, so a non-Hermitian matrix keeps its error class
-    calls = _spy_on_words(monkeypatch)
+    # a caller's matrix is never split into blocks: the whole-matrix
+    # Hermitian check comes first, so a non-Hermitian matrix keeps its error class
+    calls = _spy_on_checks(monkeypatch)
     for dim in (3, 6, 12):
         with pytest.raises(BasisError, match="power of 2"):
             SectorMatrix(basis_tag=FULL_SPACE, entries=np.eye(dim))
@@ -620,15 +661,12 @@ def test_non_power_of_two_full_space_matrix_raises_before_the_block_proof(monkey
         skew[0, 1] = 1.0
         with pytest.raises(HermiticityError):
             SectorMatrix(basis_tag=FULL_SPACE, entries=skew)
-    assert calls == []
+    assert calls == [(dim, dim) for dim in (3, 6, 12) for _ in range(2)]
 
 
-def test_empty_full_space_matrix_builds_without_the_block_proof(monkeypatch):
-    # 0 passes the power-of-two test, but there is no excitation number to prove
-    calls = _spy_on_words(monkeypatch)
+def test_empty_full_space_matrix_builds_without_the_block_proof():
     h = SectorMatrix(basis_tag=FULL_SPACE, entries=np.zeros((0, 0)))
-    assert h.dim == 0 and not h.block_diagonal
-    assert calls == []
+    assert h.dim == 0 and not h.blocks
 
 
 @pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])

@@ -407,13 +407,12 @@ def test_sector_matrix_rejects_non_finite_entry_anywhere(value, where):
             SectorMatrix(basis_tag=SINGLE_EXCITATION, entries=bad)
 
 
-def _spy_on_tile_workers(monkeypatch, workers=None):
-    """Record the worker count of every tile-row run; force it to ``workers`` if given."""
+def _spy_on_workers(monkeypatch):
+    """Record the worker count of every thread run the module starts."""
     seen = []
     real = spin_model.run_parallel
 
     def spy(tasks, count, run_task, *state):
-        count = count if workers is None else min(tasks, workers)
         seen.append(count)
         return real(tasks, count, run_task, *state)
 
@@ -421,36 +420,12 @@ def _spy_on_tile_workers(monkeypatch, workers=None):
     return seen
 
 
-@pytest.mark.parametrize("n", [10, 11])
-def test_threaded_hermitian_check_is_independent_of_the_worker_count(monkeypatch, n):
-    h = project_full_space(build_h_opt(n, 1.0)).entries
-    bad = h.copy()
-    for workers in (1, 2, 3):
-        verdicts = []
-        with monkeypatch.context() as m:
-            seen = _spy_on_tile_workers(m, workers)
-            verdicts.append(_exactly_hermitian(h))
-            for (i, j), value in [((-1, -3), 1e-300), ((2, -1), np.nan), ((5, 5), 1e-300j)]:
-                bad[i, j] = value
-                verdicts.append(_exactly_hermitian(bad))
-                bad[i, j] = h[i, j]
-        assert verdicts == [True, False, False, False]
-        assert seen == [workers] * 4
-
-
-def test_hermitian_check_threads_only_above_its_crossover(monkeypatch, two_cpus_one_blas_thread):
-    seen = _spy_on_tile_workers(monkeypatch)
-    for n in (500, spin_model.PARALLEL_MIN_DIM, 1024):
-        assert _exactly_hermitian(np.eye(n, dtype=complex))
-    assert seen == [1, 1, 2]
-
-
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, complex(np.inf, 1.0), "skew"])
 @pytest.mark.parametrize("where", ["first tile row", "last tile row", "diagonal"])
 def test_threaded_hermitian_check_rejects_bad_entry_anywhere(monkeypatch, two_cpus_one_blas_thread,
                                                             value, where):
-    # tile rows on two threads: a non-finite or non-Hermitian entry raises
-    # wherever it sits, and no helper thread outlives the call
+    # a non-finite or non-Hermitian entry raises wherever it sits, and the
+    # check runs on the calling thread even where two workers are usable
     n = 1024
     gen = np.random.default_rng(8)
     a = gen.normal(size=(n, n)) + 1j * gen.normal(size=(n, n))
@@ -462,11 +437,11 @@ def test_threaded_hermitian_check_rejects_bad_entry_anywhere(monkeypatch, two_cp
     else:
         bad[i, j] = value
         error, match = InvalidSizeError, "finite"
-    seen = _spy_on_tile_workers(monkeypatch)
+    seen = _spy_on_workers(monkeypatch)
     before = threading.active_count()
     with pytest.raises(error, match=match):
         SectorMatrix(basis_tag=SINGLE_EXCITATION, entries=bad)
-    assert seen == [2]
+    assert seen == []
     assert threading.active_count() == before
 
 
@@ -523,6 +498,24 @@ def test_full_space_matches_pair_loop():
         entries, vac = full_space_loop(model)
         assert np.array_equal(full.entries, entries)
         assert full.vacuum_phase_rate == vac
+
+
+@pytest.mark.parametrize("n", range(2, 12))
+def test_block_built_entries_are_the_dense_build(n):
+    # the blocks are assembled into entries only when read, word for word
+    # the matrix built on all 2^N states at once
+    gen = np.random.default_rng(30 + n)
+    c = np.triu(gen.normal(size=(n, n)) + 1j * gen.normal(size=(n, n)), 1)
+    z = np.triu(gen.normal(size=(n, n)), 1)
+    models = [SpinModel(n=n, couplings=c + c.conj().T, zz=z + z.T, fields=tuple(gen.normal(size=n)))]
+    models += [builder(n, 0.7) for builder in (build_h_opt, build_h_opt_prime)] if n >= 3 else []
+    for model in models:
+        full = project_full_space(model)
+        assert "entries" not in vars(full)  # not assembled yet
+        dense = spin_model._hamiltonian_on(model, np.arange(1 << n))
+        assert np.array_equal(full.entries.view(np.uint64), dense.view(np.uint64))
+        assert full.entries is full.entries and not full.entries.flags.writeable
+        assert full.dim == 1 << n and full.vacuum_phase_rate == dense[0, 0].real
 
 
 def test_excitation_block_is_the_block_of_the_dense_build():
