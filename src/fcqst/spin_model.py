@@ -222,6 +222,14 @@ class SpinModel:
             raise InvalidSizeError(f"fields must have length n={self.n}, got {len(f)}")
         if not all(map(math.isfinite, f)):
             raise InvalidSizeError("fields must be finite")
+        # With S = sum |B_j| + sum_{i<j} |U_ij|, every diagonal energy and
+        # partial sum the projections form is at most S in size, and every
+        # doubled term, 2 B_i or 2 sum_j U_ij, at most 2 S; a finite 4 S
+        # leaves a factor of two for rounding.
+        with np.errstate(over="ignore"):
+            scale = sum(map(abs, f)) + float(np.abs(self.zz).sum()) / 2
+        if not math.isfinite(4.0 * scale):
+            raise InvalidSizeError("fields and zz are too large: the diagonal energies overflow")
         object.__setattr__(self, "fields", f)
 
 

@@ -1,6 +1,14 @@
 import pytest
 
-from fcqst import workers
+from fcqst import noise_mc, workers
+
+
+@pytest.fixture(autouse=True)
+def cold_ensemble_cache():
+    """Every test starts and ends with an empty noise-ensemble cache."""
+    noise_mc._ensemble_inputs.cache_clear()
+    yield
+    noise_mc._ensemble_inputs.cache_clear()
 
 
 @pytest.fixture

@@ -19,7 +19,7 @@ from fcqst import (
     run_mc,
     sample_noisy_hamiltonian,
 )
-from fcqst import noise_mc, rng, workers
+from fcqst import noise_mc, rng, spin_model, workers
 from fcqst.exceptions import InvalidSizeError
 from fcqst.propagator import evolve_source
 
@@ -271,13 +271,13 @@ def test_shared_trial_counter_hands_out_each_trial_once(monkeypatch):
     cfg = NoiseConfig(n=12, sigma_c=0.1, sigma_f=0.1, trials=300, seed=8)
     serial = noise_mc.trial_overlaps(cfg)
     filled = []
-    real_fill = noise_mc._Sampler.fill
+    real_fill = noise_mc._EnsembleInputs.fill
 
-    def recording_fill(self, out, trial):
+    def recording_fill(self, out, cfg, trial):
         filled.append(trial)
-        return real_fill(self, out, trial)
+        return real_fill(self, out, cfg, trial)
 
-    monkeypatch.setattr(noise_mc._Sampler, "fill", recording_fill)
+    monkeypatch.setattr(noise_mc._EnsembleInputs, "fill", recording_fill)
     monkeypatch.setattr(noise_mc, "_trial_workers", lambda c: 6)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -289,6 +289,76 @@ def test_shared_trial_counter_hands_out_each_trial_once(monkeypatch):
     assert np.array_equal(parallel, serial)
 
 
+def test_sweep_at_one_configuration_builds_once(monkeypatch):
+    # a sigma_c x sigma_f sweep at one (hamiltonian, n, j0), as `fcqst noise`
+    # runs it, builds the base model and its ideal column once
+    builds, sources = [], []
+    real_builder = spin_model.HAMILTONIANS["opt"]
+    real_evolve = noise_mc.evolve_source
+
+    def spy_builder(n, j0):
+        builds.append((n, j0))
+        return real_builder(n, j0)
+
+    def spy_evolve(h, t):
+        sources.append(t)
+        return real_evolve(h, t)
+
+    monkeypatch.setitem(spin_model.HAMILTONIANS, "opt", spy_builder)
+    monkeypatch.setattr(noise_mc, "evolve_source", spy_evolve)
+    trials = 3
+    for sigma_c, sigma_f in itertools.product((0.0, 0.05, 0.1), (0.0, 0.1)):
+        cfg = NoiseConfig(n=12, sigma_c=sigma_c, sigma_f=sigma_f, trials=trials, seed=6)
+        run_mc(cfg)
+        sample_noisy_hamiltonian(cfg, 1)
+    assert builds == [(12, 1.0)]
+    assert len(sources) == 5 * trials + 1  # five noisy configurations, one ideal column
+
+
+def test_changing_any_key_field_rebuilds():
+    info = noise_mc._ensemble_inputs.cache_info
+    configs = [NoiseConfig(n=12, sigma_c=0.1, seed=1), NoiseConfig(n=12, sigma_f=0.2, seed=2),
+               NoiseConfig(n=12, sigma_c=0.1, hamiltonian="opt-prime"),
+               NoiseConfig(n=12, sigma_c=0.1, hamiltonian="opt_prime"),
+               NoiseConfig(n=13, sigma_c=0.1, hamiltonian="opt_prime"),
+               NoiseConfig(n=13, j0=0.5, sigma_c=0.1, hamiltonian="opt_prime"),
+               NoiseConfig(n=12, sigma_c=0.1)]
+    misses = []
+    for cfg in configs:
+        noise_mc.trial_overlaps(cfg)
+        misses.append(info().misses)
+        assert info().currsize == 1
+    # sigma, seed and the spelling of the builder's name share a key; the
+    # last configuration was evicted by the ones between
+    assert misses == [1, 1, 2, 2, 3, 4, 5]
+
+
+def test_cached_arrays_are_read_only():
+    cfg = NoiseConfig(n=9, sigma_c=0.1, seed=3)
+    noise_mc.trial_overlaps(cfg)
+    inputs = noise_mc._inputs_of(cfg)
+    for name in ("ideal", "upper", "lower", "base_upper", "base_diag"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(inputs, name)[0] = 0
+
+
+def test_warm_cache_gives_the_cold_cache_results():
+    cfg = NoiseConfig(n=noise_mc.PARALLEL_MIN_N + 1, sigma_c=0.1, sigma_f=0.1, trials=4, seed=9)
+    other = NoiseConfig(n=20, sigma_c=0.1, trials=2, seed=9)
+    cold = noise_mc.trial_overlaps(cfg)
+    assert np.array_equal(noise_mc.trial_overlaps(cfg), cold)
+    noise_mc.trial_overlaps(other)  # evicts cfg's inputs
+    assert np.array_equal(noise_mc.trial_overlaps(cfg), cold)
+
+    noise_mc._ensemble_inputs.cache_clear()
+    before = sample_noisy_hamiltonian(cfg, 3)
+    noise_mc._ensemble_inputs.cache_clear()
+    run_mc(cfg)
+    after = sample_noisy_hamiltonian(cfg, 3)
+    assert np.array_equal(after.entries, before.entries)
+    assert after.vacuum_phase_rate == before.vacuum_phase_rate
+
+
 class _TrialFailure(Exception):
     pass
 
@@ -298,18 +368,17 @@ def test_failing_worker_fails_the_call_and_leaves_no_thread(monkeypatch, two_cpu
                                                             failing):
     cfg = NoiseConfig(n=noise_mc.PARALLEL_MIN_N + 1, sigma_c=0.1, trials=20, seed=3)
     assert noise_mc._trial_workers(cfg) == 2
-    real = noise_mc.evolve_source
-    calls = itertools.count()
+    real_fill = noise_mc._EnsembleInputs.fill
 
-    def flaky(h, t):
+    def flaky(self, out, cfg, trial):
+        # fills run only inside trials, so a warm or cold cache fails the same way
         on_main = threading.current_thread() is threading.main_thread()
-        if next(calls) > 0 and on_main == (failing == "main"):  # call 0 is the ideal column
+        if on_main == (failing == "main"):
             raise _TrialFailure(failing)
-        if on_main:
-            time.sleep(0.005)  # leave trials for the helper
-        return real(h, t)
+        time.sleep(0.005)  # leave trials for the helper
+        return real_fill(self, out, cfg, trial)
 
-    monkeypatch.setattr(noise_mc, "evolve_source", flaky)
+    monkeypatch.setattr(noise_mc._EnsembleInputs, "fill", flaky)
     before = threading.active_count()
     with pytest.raises(_TrialFailure, match=failing):
         run_mc(cfg)

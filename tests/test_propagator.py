@@ -595,7 +595,7 @@ def _spy_on_checks(monkeypatch):
 
 
 @pytest.mark.parametrize("n", [4, 10])
-def test_proven_matrix_is_not_proven_again(monkeypatch, n):
+def test_blocks_are_checked_once_at_build(monkeypatch, n):
     # each block is checked once, when it is built; propagating the matrix
     # and the commutator check (blocks 0 and 1 built alone) check nothing
     model = build_h_opt(n, 1.0)
@@ -650,7 +650,7 @@ def test_hermitian_defect_within_tolerance_takes_the_dense_path(n):
         SectorMatrix(basis_tag=FULL_SPACE, entries=entries)
 
 
-def test_non_power_of_two_full_space_matrix_raises_before_the_block_proof(monkeypatch):
+def test_non_power_of_two_full_space_matrix_raises_after_the_hermitian_check(monkeypatch):
     # a caller's matrix is never split into blocks: the whole-matrix
     # Hermitian check comes first, so a non-Hermitian matrix keeps its error class
     calls = _spy_on_checks(monkeypatch)
@@ -664,7 +664,7 @@ def test_non_power_of_two_full_space_matrix_raises_before_the_block_proof(monkey
     assert calls == [(dim, dim) for dim in (3, 6, 12) for _ in range(2)]
 
 
-def test_empty_full_space_matrix_builds_without_the_block_proof():
+def test_empty_full_space_matrix_builds_without_blocks():
     h = SectorMatrix(basis_tag=FULL_SPACE, entries=np.zeros((0, 0)))
     assert h.dim == 0 and not h.blocks
 

@@ -1,4 +1,5 @@
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -383,6 +384,51 @@ def test_rejects_non_finite_model_data():
     for case in cases:
         with pytest.raises(FcqstError):
             case()
+
+
+def test_rejects_fields_whose_energies_overflow():
+    # each field is finite, but the projections' diagonal sums are not
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for model in (lambda: SpinModel(n=4, fields=(1e308,) * 4),
+                      lambda: SpinModel(n=3, zz={(1, 2): 1e308, (2, 3): -1e308}),
+                      lambda: SpinModel(n=3, fields=(1e308, 0.0, 0.0), zz={(1, 3): 1e308})):
+            with pytest.raises(InvalidSizeError, match="overflow"):
+                model()
+
+
+@pytest.mark.parametrize("n", [3, 4, 7])
+def test_largest_accepted_energies_project_without_warning(n):
+    # bisect the largest scale at which a model still builds; both
+    # projections of that model finish without an overflow warning
+    gen = np.random.default_rng(n)
+    one_field, one_pair = np.eye(n)[0], np.zeros((n, n))
+    one_pair[0, 1] = 1.0
+    patterns = [(np.ones(n), np.ones((n, n))), (-np.ones(n), np.zeros((n, n))),
+                (np.zeros(n), -np.ones((n, n))), (one_field, np.zeros((n, n))),
+                (np.zeros(n), one_pair)]
+    patterns += [(gen.uniform(-1, 1, n), gen.uniform(-1, 1, (n, n))) for _ in range(3)]
+    for fields, zz in patterns:
+        zz = np.triu(zz, 1) + np.triu(zz, 1).T
+
+        def model(scale):
+            return SpinModel(n=n, fields=tuple(scale * fields), zz=scale * zz)
+
+        lo, hi = 0.0, np.finfo(float).max
+        for _ in range(64):
+            mid = lo + (hi - lo) / 2
+            try:
+                model(mid)
+                lo = mid
+            except InvalidSizeError:
+                hi = mid
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            largest = model(lo)
+            assert np.isfinite(project_single_excitation(largest).entries).all()
+            assert all(np.isfinite(b).all() for b in project_full_space(largest).blocks)
+            with pytest.raises(InvalidSizeError, match="overflow"):
+                model(hi)
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, complex(np.inf, 1.0)])
