@@ -1,3 +1,4 @@
+import hashlib
 import math
 import threading
 import time
@@ -257,6 +258,35 @@ def test_lanczos_matches_dense_column(n, sigma):
     assert np.abs(psi - eig_propagator(h, t)[:, 0]).max() < 1e-13
     if n > DENSE_MAX_N:
         assert np.array_equal(evolve_source(h, t)[0], psi)  # the path trials take
+
+
+def _frozen_lanczos_input(n, kind):
+    # a dense symmetric matrix with spectrum in about [-2, 2], or a diagonal
+    # one whose first site couples to three others, so the Krylov space of
+    # e_1 is 4-dimensional and the recurrence breaks down at m = 4
+    gen = np.random.default_rng(1000 * n + (kind == "near_diagonal"))
+    if kind == "dense":
+        a = gen.normal(size=(n, n)) / math.sqrt(n)
+        return a + a.T, 1.3
+    h = np.diag(gen.normal(size=n))
+    h[0, 1:4] = h[1:4, 0] = gen.normal(size=3)
+    return h, 2.1
+
+
+def test_lanczos_columns_match_frozen_digest():
+    # SHA-256 of the columns and Krylov dimensions, frozen by direct
+    # evaluation with one BLAS thread and with the default threads: a change
+    # to the kernel's arithmetic, not only to its accuracy, moves it
+    digest = hashlib.sha256()
+    dims = []
+    for n in (65, 100, 257, 500, 640):
+        for kind in ("dense", "near_diagonal"):
+            psi, dim = evolve_source(*_frozen_lanczos_input(n, kind))
+            digest.update(psi.tobytes())
+            digest.update(dim.to_bytes(2, "little"))
+            dims.append(dim)
+    assert dims == [24, 4] * 5
+    assert digest.hexdigest() == "2870584f30ba4054857777bf37d56b08a365333052f0414b3ede03daefd0a34d"
 
 
 def test_evolve_source_falls_back_to_dense_when_estimate_fails():
