@@ -60,8 +60,9 @@ DEFAULT_DEFINITION = "one_minus_abs_overlap"
 # about 1.5 MB whatever n is.
 PAIR_BLOCK = 65536
 # Above this size the trials of an ensemble run on several threads; up to
-# it the GIL hand-offs around small numpy calls cost more than they save
-# (crossover measured near n = 256 on a 2-CPU Xeon, one BLAS thread).
+# it a second worker gains too little to pay for its hand-offs.  Two workers
+# over one, 200 trials, one BLAS thread, 2-CPU Xeon: 1.23 at n = 128, 0.98
+# at 192, 0.75 at 256 and 0.72 at 320.
 PARALLEL_MIN_N = 256
 
 

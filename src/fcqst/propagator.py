@@ -140,7 +140,9 @@ def _lanczos_source(h: np.ndarray, t: float) -> tuple[np.ndarray, int] | None:
     Returns the column and its Krylov dimension, or None when the estimate
     still fails at ``KRYLOV_MAX_DIM``.  An inf or NaN entry of h that the
     basis reaches makes a recurrence coefficient non-finite, which raises
-    InvalidSizeError with no extra pass over h.
+    InvalidSizeError with no extra pass over h.  The products use
+    ``np.dot``, which releases the GIL around its BLAS call (``@`` holds it
+    up to n = 500), so the noise trials' workers propagate at once.
     """
     n = h.shape[0]
     basis = np.zeros((KRYLOV_MAX_DIM + 1, n))
@@ -153,13 +155,13 @@ def _lanczos_source(h: np.ndarray, t: float) -> tuple[np.ndarray, int] | None:
         m = j + 1
         v = basis[j]
         with np.errstate(invalid="ignore", over="ignore"):  # inf * 0, inf - inf in h's products
-            w = h @ v
-            a = v @ w
+            w = np.dot(h, v)
+            a = np.dot(v, w)
             w -= a * v
             if j:
                 w -= beta_prev * basis[j - 1]
-            w -= basis[:m].T @ (basis[:m] @ w)
-            b = math.sqrt(w @ w)
+            w -= np.dot(basis[:m].T, np.dot(basis[:m], w))
+            b = math.sqrt(np.dot(w, w))
         if not (math.isfinite(a) and math.isfinite(b)):
             raise InvalidSizeError(NON_FINITE_MATRIX)
         alpha[j], beta[j] = a, b
