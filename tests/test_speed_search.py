@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -49,6 +51,25 @@ def test_deterministic_given_seed():
         assert np.array_equal(a.best_pulse.j1a, b.best_pulse.j1a)
         assert np.array_equal(a.best_pulse.da, b.best_pulse.da)
 
+
+# SHA-256 over best_fidelity, evaluations and the six pulse arrays of every
+# control class at n in {3, 5} and seeds 0-2.  A refactor of the search
+# keeps it; a change to the ascent or its starts refreezes it on purpose.
+PULSE_SEARCH_DIGEST = "13544d481c0d5a84dfd3b7f2302b1c7708354650db17b34f45d51d2903838444"
+
+
+def test_pulse_search_matches_frozen_digest():
+    digest = hashlib.sha256()
+    for controls in CONTROL_CLASSES:
+        for n in (3, 5):
+            for seed in range(3):
+                res = optimize_pulse(n, 1.0, 0.9 * minimum_transfer_time(n, 1.0), 3, 3, seed,
+                                     controls=controls, max_iters=20)
+                digest.update(np.float64(res.best_fidelity).tobytes())
+                digest.update(np.int64(res.evaluations).tobytes())
+                for name in ("j1a", "jan", "j1n", "d1", "da", "dn"):
+                    digest.update(getattr(res.best_pulse, name).tobytes())
+    assert digest.hexdigest() == PULSE_SEARCH_DIGEST
 
 def test_projection_idempotent_never_grows():
     for controls in CONTROL_CLASSES:
