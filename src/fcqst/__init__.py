@@ -33,7 +33,6 @@ from .effective3 import (
     TransferDecomposition,
     boundary_form_check,
     reduce_to_effective,
-    to_interaction_picture,
 )
 from .noise_mc import (
     NoiseConfig,

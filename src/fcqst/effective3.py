@@ -6,9 +6,9 @@ the source state never leaves the span of
 
     |phi_1> = |1>,   |phi_2> = W-state over intermediates,   |phi_3> = |N>.
 
-This module builds the 3x3 Hamiltonian on that basis, transforms schedules
-to the interaction picture of the diagonal, states the collective-coupling
-bounds, and recognizes the end-of-transfer unitary pattern
+This module builds the 3x3 Hamiltonian on that basis, states the
+collective-coupling bounds, and recognizes the end-of-transfer unitary
+pattern
 
     [[0, 0, e^{i phi}], [cos T e^{-i a}, -sin T e^{-i b}, 0],
      [sin T e^{i b}, cos T e^{i a}, 0]].
@@ -20,10 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import BasisError, InvalidSizeError, SymmetryError, UnitarityError
-from .propagator import _checked_schedule
+from .exceptions import InvalidSizeError, SymmetryError, UnitarityError
 from .spin_model import (EFFECTIVE3, SectorMatrix, SpinModel, project_single_excitation,
-                         require_finite, require_integer, require_transfer_size)
+                         require_finite, require_transfer_size)
 
 SYMMETRY_TOL = 1e-12
 BOUNDARY_TOL = 1e-9
@@ -132,37 +131,6 @@ def reduce_to_effective(model: SpinModel) -> Effective3:
         d1=d1 - dn, da=da - dn, dn=0.0,
         frame_shift=dn,
     )
-
-
-def to_interaction_picture(schedule, slices_per_segment: int = 1):
-    """Interaction picture of the diagonal part of a piecewise schedule.
-
-    Input and output are (durations, mats) schedules of 3x3 Hamiltonians, as
-    ``propagator.evolve_schedule`` takes and checks them.  Each segment
-    becomes ``slices_per_segment`` equal slices with zero diagonals, whose
-    couplings carry the phase differences exp(i (Theta_row - Theta_col)),
-    Theta_r(t) = int d_r dt, at slice midpoints; magnitudes are unchanged.
-
-    With K slices per segment the schedule propagator matches the exact
-    interaction-picture propagator to O((dt/K)^2); segments whose diagonal
-    differences vanish are reproduced exactly for any K.
-    """
-    if require_integer(slices_per_segment, "slices_per_segment") < 1:
-        raise InvalidSizeError("slices_per_segment must be >= 1")
-    durations, mats = _checked_schedule(*schedule)
-    if mats.shape[-1] != 3:
-        raise BasisError(f"effective3 sector must be 3x3, got {mats.shape[-1]}")
-    diag = np.diagonal(mats, axis1=-2, axis2=-1).real            # (K, 3)
-    # Theta at each segment start, by the same sequential adds as a running sum
-    start = np.cumsum(np.concatenate([np.zeros((1, 3)), diag[:-1] * durations[:-1, None]]), axis=0)
-    sub = durations / slices_per_segment
-    offsets = np.arange(slices_per_segment) + 0.5                # slice midpoints / slice length
-    mid = start[:, None] + (diag * sub[:, None])[:, None] * offsets[:, None]
-    p1, pa, pn = np.moveaxis(np.exp(1j * mid), -1, 0)            # (K, S) each
-    out = effective_matrices(mats[:, 0, 1, None] * p1 * np.conj(pa),
-                             mats[:, 1, 2, None] * pa * np.conj(pn),
-                             mats[:, 0, 2, None] * p1 * np.conj(pn), 0.0, 0.0, 0.0)
-    return np.repeat(sub, slices_per_segment), out.reshape(-1, 3, 3)
 
 
 @dataclass(frozen=True)

@@ -48,7 +48,7 @@ from .spin_model import (
     excitation_blocks,
     excitation_flat_index,
     require_finite,
-    require_near_hermitian,
+    require_hermitian,
     require_transfer_size,
 )
 from .workers import run_parallel
@@ -208,8 +208,8 @@ def ordered_product(us: np.ndarray) -> np.ndarray:
     """Time-ordered product U_K ... U_2 U_1 over axis -3 of a (..., K, d, d) stack.
 
     Pairwise tree reduction keeps the Python-level loop O(log K) for the
-    fine grids used by interaction-picture and residual checks, and
-    multiplies every leading index (e.g. each candidate pulse) at once.
+    fine grids of the residual checks, and multiplies every leading index
+    (e.g. each candidate pulse) at once.
     """
     while us.shape[-3] > 1:
         k = us.shape[-3]
@@ -224,8 +224,8 @@ def _checked_schedule(durations, mats) -> tuple[np.ndarray, np.ndarray]:
     """A schedule's (K,) durations and (K, d, d) stack as float and complex arrays, checked.
 
     An empty schedule, a duration that is not finite and positive, or a
-    shape mismatch raises GridMismatchError; the stack is held to
-    ``SectorMatrix``'s Hermitian and finiteness rule, all matrices at once.
+    shape mismatch raises GridMismatchError; the stack must pass
+    ``spin_model.require_hermitian``, all matrices at once.
     """
     durations, mats = np.asarray(durations, dtype=float), np.asarray(mats, dtype=complex)
     if not (durations.size and mats.size):
@@ -236,9 +236,7 @@ def _checked_schedule(durations, mats) -> tuple[np.ndarray, np.ndarray]:
     bad = durations[~(np.isfinite(durations) & (durations > 0))]
     if bad.size:
         raise GridMismatchError(f"segment durations must be finite and positive, got {bad[0]}")
-    with np.errstate(invalid="ignore", over="ignore"):  # inf - inf, huge - -huge
-        if (mats - np.swapaxes(mats.conj(), -1, -2)).any():
-            require_near_hermitian(mats)
+    require_hermitian(mats)
     return durations, mats
 
 

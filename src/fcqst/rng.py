@@ -121,21 +121,3 @@ def normals(key: int, start: int, count: int) -> np.ndarray:
     np.multiply(r, angle, out=u1)
     return z[start - lo: start - lo + count]
 
-
-class KeyedStream:
-    """Sequential view of one stream: remembers how many draws were consumed."""
-
-    def __init__(self, key: int):
-        self.key = int(key)
-        self._uniform_pos = 0
-
-    @classmethod
-    def from_seed(cls, seed: int, *indices: int) -> "KeyedStream":
-        return cls(derive_key(seed, *indices))
-
-    def uniform(self, size: int = 1) -> np.ndarray:
-        # the view reads from draw 2^32 of its stream on; seeded searches
-        # depend on that offset, so it stays.
-        out = uniforms(self.key, (1 << 32) + self._uniform_pos, size)
-        self._uniform_pos += size
-        return out

@@ -24,8 +24,9 @@ faster than the reference.
 
 Method: multi-start projected gradient ascent with central-difference
 gradients and a backtracking line search, falling back to a shrinking
-coordinate search when gradients stall.  All randomness comes from the
-package's keyed streams, so results are bit-reproducible from the seed.
+coordinate search when gradients stall.  Each restart draws its start from
+its own ``rng`` stream, keyed by the seed and the restart index, so results
+are bit-reproducible from the seed.
 """
 
 from __future__ import annotations
@@ -37,9 +38,9 @@ import numpy as np
 
 from .effective3 import coupling_bounds, effective_matrices
 from .exceptions import InvalidSizeError
+from . import rng
 from .propagator import minimum_transfer_time, ordered_product, segment_propagators
-from .rng import KeyedStream
-from .spin_model import require_integer, require_transfer_size
+from .spin_model import require_finite, require_integer, require_transfer_size
 
 # Per-segment parameter layout of each control class.  A row is
 # (couplings, diagonals): the columns (re, im) of j1a, jan and j1n, with im
@@ -61,13 +62,18 @@ def _control_class(controls: str):
                                f"got {controls!r}") from None
 
 
-def _require_search_size(n: int, j0: float, n_segments: int, restarts: int, seed: int) -> None:
-    """Raise InvalidSizeError unless (n, j0) is a transfer size, both counts are integers >= 1
-    and the seed is an integer."""
+def _require_search_size(n: int, j0: float, n_segments: int, restarts: int, seed: int,
+                         max_iters: int, stop_fidelity: float | None = None) -> None:
+    """Raise InvalidSizeError unless (n, j0) is a transfer size, both counts are integers >= 1,
+    the seed is an integer, ``max_iters`` is an integer >= 0 and ``stop_fidelity`` is None
+    or finite."""
     require_transfer_size(n, j0)
     require_integer(seed, "seed")
     if require_integer(n_segments, "n_segments") < 1 or require_integer(restarts, "restarts") < 1:
         raise InvalidSizeError("need n_segments >= 1, restarts >= 1")
+    if require_integer(max_iters, "max_iters") < 0:
+        raise InvalidSizeError(f"max_iters must be >= 0, got {max_iters}")
+    require_finite(stop_fidelity=stop_fidelity)
 
 
 def _require_total_time(total_time: float) -> None:
@@ -203,10 +209,13 @@ class _Problem:
     def pulse(self, x: np.ndarray) -> PulseParams:
         return PulseParams(self.n, self.j0, self.total_time, *self.expand(x))
 
-    def random_start(self, stream: KeyedStream, constant: bool) -> np.ndarray:
-        """Random in-bounds start; ``constant`` replicates one draw across segments."""
+    def random_start(self, key: int, constant: bool) -> np.ndarray:
+        """Random in-bounds start from stream ``key``; ``constant`` replicates one draw
+        across segments."""
         rows = 1 if constant else self.k
-        u = stream.uniform(rows * self.per_seg).reshape(rows, self.per_seg)
+        # a start reads from draw 2^32 of its stream on; seeded searches
+        # depend on that offset, so it stays.
+        u = rng.uniforms(key, 1 << 32, rows * self.per_seg).reshape(rows, self.per_seg)
         v = np.zeros((rows, self.per_seg))
         for (re, im), bound in zip(self.couplings, self.bounds):
             if im is None:
@@ -280,17 +289,17 @@ def optimize_pulse(n: int, j0: float, total_time: float, n_segments: int,
                    stop_fidelity: float | None = None) -> SearchResult:
     """Maximize transfer fidelity over bounded piecewise-constant controls.
 
-    Restarts are independent (stream per restart index; even restarts draw a
-    constant-in-time start, odd ones draw per-segment starts) and the best
-    result wins, ties broken by the lower restart index.  Deterministic for
-    fixed arguments and seed.
+    Restarts are independent (restart r draws from the stream keyed by
+    (seed, r); even restarts draw a constant-in-time start, odd ones draw
+    per-segment starts) and the best result wins, ties broken by the lower
+    restart index.  Deterministic for fixed arguments and seed.
 
     ``controls`` names the searched class, a key of ``CONTROL_CLASSES``:
     "complex" (the default) searches complex couplings, "real" real
     couplings of either sign with free real diagonals (loop flux 0 or pi),
     "real_symmetric" the narrower j1a = jan, d1 = dn = 0 class.
     """
-    _require_search_size(n, j0, n_segments, restarts, seed)
+    _require_search_size(n, j0, n_segments, restarts, seed, max_iters, stop_fidelity)
     _require_total_time(total_time)
     problem = _Problem(n, j0, total_time, n_segments, controls)
     if total_time == 0:
@@ -301,8 +310,7 @@ def optimize_pulse(n: int, j0: float, total_time: float, n_segments: int,
 
     best_x, best_f, total_evals, hit_bound = None, -1.0, 0, 0
     for restart in range(restarts):
-        stream = KeyedStream.from_seed(seed, restart)
-        x0 = problem.random_start(stream, constant=(restart % 2 == 0))
+        x0 = problem.random_start(rng.derive_key(seed, restart), constant=(restart % 2 == 0))
         x, f, evals = _ascend(problem, x0, max_iters, stop_fidelity)
         total_evals += evals
         if max(problem.pulse(x).bound_report().values()) >= 1.0 - 1e-9:
@@ -344,7 +352,7 @@ def min_time_bisection(n: int, j0: float, fid_target: float, time_tol: float,
     :func:`optimize_pulse`; ``samples`` holds each probe's own result.
     """
     # bad sizes and an unknown class raise before the trivial return
-    _require_search_size(n, j0, n_segments, restarts, seed)
+    _require_search_size(n, j0, n_segments, restarts, seed, max_iters)
     _control_class(controls)
     if not (math.isfinite(time_tol) and time_tol > 0):
         raise InvalidSizeError(f"time_tol must be finite and positive, got {time_tol}")

@@ -104,7 +104,8 @@ def _read_only(x, dtype) -> np.ndarray:
 
 
 def _exactly_hermitian(m: np.ndarray) -> bool:
-    """m is finite and equals its conjugate transpose, compared in 128 x 128 tiles.
+    """Each matrix of a (..., d, d) stack is finite and equals its conjugate transpose,
+    compared in 128 x 128 tiles.
 
     Each tile on or above the diagonal minus the conjugate transpose of its
     mirror tile must be exactly zero, so temporaries stay tile-sized and
@@ -112,14 +113,19 @@ def _exactly_hermitian(m: np.ndarray) -> bool:
     only when they are equal, and an inf or NaN entry leaves a nonzero inf
     or NaN, so one pass also proves every entry finite.
     """
+    d = m.shape[-1]
     with np.errstate(invalid="ignore", over="ignore"):  # inf - inf, huge - -huge
-        return not any((m[i:i + TILE, j:j + TILE] - m[j:j + TILE, i:i + TILE].T.conj()).any()
-                       for i in range(0, len(m), TILE) for j in range(i, len(m), TILE))
+        return not any((m[..., i:i + TILE, j:j + TILE]
+                        - np.swapaxes(m[..., j:j + TILE, i:i + TILE].conj(), -1, -2)).any()
+                       for i in range(0, d, TILE) for j in range(i, d, TILE))
 
 
-def require_near_hermitian(m: np.ndarray) -> None:
-    """Raise unless each matrix of a (..., d, d) stack is finite (InvalidSizeError) and within
-    ``HERMITICITY_TOL`` of Hermitian, scaled by its largest entry (HermiticityError)."""
+def require_hermitian(m: np.ndarray) -> None:
+    """Raise unless each matrix of a (..., d, d) stack is exactly Hermitian, or else finite
+    (InvalidSizeError) and within ``HERMITICITY_TOL`` of Hermitian, scaled by its largest
+    entry (HermiticityError)."""
+    if _exactly_hermitian(m):
+        return
     if not np.isfinite(m).all():
         raise InvalidSizeError(NON_FINITE_MATRIX)
     herm = np.abs(m - np.swapaxes(m.conj(), -1, -2)).max(axis=(-2, -1))
@@ -239,8 +245,7 @@ class SectorMatrix:
 
     ``vacuum_phase_rate`` is the energy of the all-|0> state, tracked as a
     scalar because the vacuum is a decoupled one-dimensional sector.  The
-    entries must pass the exact Hermitian check, or else be finite and
-    within ``HERMITICITY_TOL`` of Hermitian.
+    entries must pass ``require_hermitian``.
 
     ``blocks`` is empty for a matrix held as its entries, as every one
     made by this constructor is.  ``project_full_space`` returns one held
@@ -258,8 +263,7 @@ class SectorMatrix:
             raise BasisError(f"entries must be square, got shape {m.shape}")
         if not math.isfinite(self.vacuum_phase_rate):
             raise InvalidSizeError("vacuum phase rate must be finite")
-        if not _exactly_hermitian(m):
-            require_near_hermitian(m)
+        require_hermitian(m)
         dim = m.shape[0]
         if self.basis_tag == EFFECTIVE3 and dim != 3:
             raise BasisError(f"effective3 sector must be 3x3, got {dim}")
@@ -405,7 +409,7 @@ def project_full_space(model: SpinModel) -> SectorMatrix:
 
     Each block is one task, largest first (``block_tasks``): built by
     ``excitation_block`` (or up to ``ONE_PASS_MAX_QUBITS`` taken from one
-    build over all 2^N states), it passes ``SectorMatrix``'s Hermitian rule.
+    build over all 2^N states), it passes ``require_hermitian``.
     The dense ``entries``, assembled only when read, are bit for bit those
     of ``_hamiltonian_on`` on all 2^N states.
     """
@@ -421,8 +425,7 @@ def project_full_space(model: SpinModel) -> SectorMatrix:
         k = order[j]
         block = (excitation_block(model, k) if whole is None
                  else whole[excitation_flat_index(n)[k]].reshape(math.comb(n, k), -1))
-        if not _exactly_hermitian(block):
-            require_near_hermitian(block)  # raises: a built block is Hermitian unless non-finite
+        require_hermitian(block)  # a built block fails only on a non-finite entry
         block.flags.writeable = False
         blocks[k] = block
 

@@ -9,7 +9,7 @@ propagator.
 
 import numpy as np
 
-from fcqst import evolve_constant, project_full_space
+from fcqst import evolve_constant, project_full_space, rng
 from fcqst.propagator import REAL_PRODUCT_MIN_DIM
 
 ID2 = np.eye(2, dtype=complex)
@@ -351,29 +351,6 @@ def qb_residuals_loop(segments, m_traj, n, j0):
 # couplings take (Re, Im) column pairs, "real" one column per coupling and
 # "real_symmetric" the columns (j1a = jan, j1n, da).
 
-def interaction_picture_loop(schedule, slices_per_segment):
-    """``to_interaction_picture`` slice by slice, with a running phase and scalar products.
-
-    The per-slice loop the array form replaced: Theta starts at 0 and
-    adds d dt after each segment; slice s of a segment gets the phases at
-    Theta + d (dt / S) (s + 0.5).
-    """
-    out_dts, out_mats = [], []
-    theta = np.zeros(3)
-    for dt, h in zip(*schedule):
-        dvec = h.diagonal().real
-        sub = dt / slices_per_segment
-        for s in range(slices_per_segment):
-            mid = theta + dvec * sub * (s + 0.5)
-            p1, pa, pn = np.exp(1j * mid)
-            out_dts.append(sub)
-            out_mats.append(effective3_literal(h[0, 1] * p1 * np.conj(pa),
-                                               h[1, 2] * pa * np.conj(pn),
-                                               h[0, 2] * p1 * np.conj(pn), 0.0, 0.0, 0.0))
-        theta = theta + dvec * dt
-    return np.array(out_dts), np.array(out_mats)
-
-
 def _disc(values, bound):
     mags = np.abs(values)
     over = mags > bound
@@ -414,12 +391,12 @@ def expand_by_class(problem, xs):
             *(v[..., col].copy() for col in range(6, 9)))
 
 
-def random_start_by_class(problem, stream, constant):
-    """In-bounds start drawn from ``stream``: disc-uniform complex couplings,
-    uniform real couplings and diagonals uniform in [-4 j0, 4 j0]."""
+def random_start_by_class(problem, key, constant):
+    """In-bounds start drawn from stream ``key`` at draw 2^32 on: disc-uniform complex
+    couplings, uniform real couplings and diagonals uniform in [-4 j0, 4 j0]."""
     k, per_seg, bounds, j0 = problem.k, problem.per_seg, problem.bounds, problem.j0
     rows = 1 if constant else k
-    u = stream.uniform(rows * per_seg).reshape(rows, per_seg)
+    u = rng.uniforms(key, 1 << 32, rows * per_seg).reshape(rows, per_seg)
     v = np.zeros((rows, per_seg))
     if problem.controls == "real_symmetric":
         v[:, 0] = (2 * u[:, 0] - 1) * bounds[0]

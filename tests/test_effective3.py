@@ -12,12 +12,10 @@ from fcqst import (
     minimum_transfer_time,
     project_single_excitation,
     reduce_to_effective,
-    to_interaction_picture,
 )
 from fcqst.effective3 import coupling_bounds, effective_matrices
-from fcqst.exceptions import (BasisError, GridMismatchError, InvalidSizeError, SymmetryError,
-                              UnitarityError)
-from oracles import interaction_picture_loop, transfer_form_unitary
+from fcqst.exceptions import GridMismatchError, InvalidSizeError, SymmetryError, UnitarityError
+from oracles import transfer_form_unitary
 
 
 def _optimal_matrix(n, j0=1.0):
@@ -117,94 +115,11 @@ def test_reduction_commutes_with_evolution(n):
     assert np.abs(projected - u3).max() < 1e-10
 
 
-def test_interaction_picture_trivial_cases():
-    h = Effective3(j1a=1.0 + 0.5j, jan=0.3, j1n=0.9j)
-    dts, mats = to_interaction_picture(_schedule([(0.7, h)]))
-    assert dts.shape == (1,) and mats.shape == (1, 3, 3)
-    assert dts[0] == 0.7
-    assert np.abs(mats[0] - h.matrix()).max() == 0.0
-
-    shifted = Effective3(j1a=1.0, jan=1.0, j1n=0.5, d1=2.2, da=2.2, dn=2.2)
-    _, mats = to_interaction_picture(_schedule([(0.9, shifted)]))
-    assert abs(mats[0, 0, 1] - shifted.j1a) < 1e-15
-    assert abs(mats[0, 1, 2] - shifted.jan) < 1e-15
-    assert abs(mats[0, 0, 2] - shifted.j1n) < 1e-15
-    assert not np.diagonal(mats, axis1=-2, axis2=-1).any()
-
-
-def test_interaction_picture_preserves_magnitudes():
-    h = Effective3(j1a=2.0 + 1.0j, jan=-0.5j, j1n=0.25, d1=1.0, da=-3.0, dn=0.5)
-    _, mats = to_interaction_picture(_schedule([(1.3, h)]), slices_per_segment=16)
-    for seg in mats:
-        assert abs(abs(seg[0, 1]) - abs(h.j1a)) < 1e-14
-        assert abs(abs(seg[1, 2]) - abs(h.jan)) < 1e-14
-        assert abs(abs(seg[0, 2]) - abs(h.j1n)) < 1e-14
-
-
-def test_interaction_picture_matches_exact_frame():
-    # U_original = exp(-i Theta(T)) @ U_interaction up to the slicing error
-    n = 8
-    h = reduce_to_effective(build_h_opt(n, 1.0))
-    t = minimum_transfer_time(n, 1.0)
-    segments = [(t, h)]
-    u0 = evolve_constant(h.sector_matrix(), t)
-    # slicing error is O((t/K)^2); K = 2^14 lands around 1e-9 here
-    ip = to_interaction_picture(_schedule(segments), slices_per_segment=1 << 14)
-    u_ip = evolve_schedule(ip)
-    frame = np.diag(np.exp(-1j * np.array([h.d1, h.da, h.dn]) * t))
-    assert np.abs(u0 - frame @ u_ip).max() < 5e-9
-    # the coupling phases rotate at the diagonal gap (3 j0 here)
-    dts, mats = ip
-    mid_phase = np.exp(1j * 3.0 * (dts[0] / 2))
-    assert abs(mats[0, 0, 1] - h.j1a * mid_phase) < 1e-12
-
-
-def test_interaction_picture_fidelity_invariance():
-    # |<phi_3|U|phi_1>| agrees between a schedule and its transform
-    n = 8
-    h = reduce_to_effective(build_h_opt(n, 1.0))
-    t = minimum_transfer_time(n, 1.0)
-    other = Effective3(j1a=1.0, jan=0.8 - 0.2j, j1n=0.3, d1=0.4, da=-1.0, dn=0.1)
-    schedule = _schedule([(0.6 * t, h), (0.4 * t, other)])
-    u0 = evolve_schedule(schedule)
-    u_ip = evolve_schedule(to_interaction_picture(schedule, slices_per_segment=1 << 16))
-    assert abs(abs(u0[2, 0]) - abs(u_ip[2, 0])) < 1e-10
-
-
-@pytest.mark.parametrize("slices", [1, 16, 1024])
-@pytest.mark.parametrize("k", [1, 3, 8])
-def test_interaction_picture_matches_slice_loop(k, slices):
-    # the array phases against the per-slice running-phase loop: durations
-    # and zero diagonals exactly, and couplings, drawn inside the n = 8
-    # bounds, to the roundoff of numpy's vectorised complex products against
-    # its scalar ones (the phases themselves agree bit for bit)
-    gen = np.random.default_rng(100 * k + slices)
-    bounds = np.array(coupling_bounds(8, 1.0))[:, None]
-    phases = np.exp(2j * np.pi * gen.uniform(size=(3, k)))
-    couplings = bounds * np.sqrt(gen.uniform(size=(3, k))) * phases
-    mats = effective_matrices(*couplings, *gen.uniform(-4.0, 4.0, size=(3, k)))
-    schedule = (gen.uniform(0.05, 1.5, size=k), mats)
-    dts, got = to_interaction_picture(schedule, slices_per_segment=slices)
-    want_dts, want = interaction_picture_loop(schedule, slices)
-    assert got.shape == want.shape == (k * slices, 3, 3)
-    assert np.array_equal(dts, want_dts)
-    assert not np.diagonal(got, axis1=-2, axis2=-1).any()
-    assert np.abs(got - want).max() <= 1e-15
-
-
-def test_interaction_picture_slice_count_guard():
-    schedule = _schedule([(1.0, Effective3(j1a=1, jan=1, j1n=1))])
-    with pytest.raises(InvalidSizeError):
-        to_interaction_picture(schedule, slices_per_segment=0)
-    with pytest.raises(BasisError, match="3x3"):
-        to_interaction_picture((np.ones(2), np.zeros((2, 2, 2))))
-
-
-@pytest.mark.parametrize("transform", [to_interaction_picture, evolve_schedule])
+@pytest.mark.parametrize("transform", [evolve_schedule])
 @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -1.0])
 def test_schedule_transforms_reject_bad_durations(transform, bad):
     # a NaN duration used to give NaN phases, and a negative one a negative
-    # segment; an empty schedule used to give an empty interaction picture
+    # segment
     h = Effective3(j1a=1, jan=1, j1n=0.5, d1=1)
     with pytest.raises(GridMismatchError, match="finite and positive"):
         transform(_schedule([(0.3, h), (bad, h)]))

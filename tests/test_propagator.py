@@ -152,12 +152,17 @@ def test_non_hermitian_rejected():
     with pytest.raises(HermiticityError):
         evolve_constant(np.array([[0, 1], [0, 0]], dtype=complex), 1.0)
     stack = np.stack([_random_hermitian(3, 0), _random_hermitian(3, 1)])
-    skewed, nan = stack.copy(), stack.copy()
+    skewed, nan, near = stack.copy(), stack.copy(), stack.copy()
     skewed[1, 0, 2] += 1e-6
     nan[1, 1, 1] = np.nan
     for mats, error in ((skewed, HermiticityError), (nan, InvalidSizeError)):
         with pytest.raises(error):
             evolve_schedule((np.ones(2), mats))
+    # a defect within tolerance in one segment is accepted
+    near[1, 0, 2] += 1e-15
+    assert not _exactly_hermitian(near)
+    u = evolve_schedule((np.ones(2), near))
+    assert np.abs(u - evolve_schedule((np.ones(2), stack))).max() < 1e-13
 
 
 def test_schedule_single_segment_matches_constant():

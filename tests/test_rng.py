@@ -40,17 +40,8 @@ def test_gaussian_moments():
     assert abs(np.corrcoef(z[:-1], z[1:])[0, 1]) < 0.01
 
 
-def test_keyed_stream_advances():
-    s = rng.KeyedStream.from_seed(3, 1)
-    first = s.uniform(4)
-    second = s.uniform(4)
-    fresh = rng.KeyedStream.from_seed(3, 1)
-    assert np.array_equal(np.concatenate([first, second]), fresh.uniform(8))
-    assert not np.array_equal(first, second)
-
-
 # (key, start, count): odd starts and counts, keys >= 2^63, the n = 500 pair
-# count 124,750, a start past the 65,536-draw block and the uniform view's
+# count 124,750, a start past the 65,536-draw block and the pulse search's
 # 2^32 offset
 FROZEN_SLICES = [(0, 0, 1), (1, 3, 7), (12345, 0, 1000), (12345, 7, 33), (99, 31, 9),
                  (2**63 + 12345, 3, 101), (2**64 - 1, 1, 2),

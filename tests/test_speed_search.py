@@ -8,7 +8,7 @@ from fcqst import speed_search
 from fcqst.exceptions import InvalidSizeError
 from fcqst.speed_search import CONTROL_CLASSES, PulseParams, _Problem, pulse_to_schedule
 from fcqst.propagator import evolve_schedule
-from fcqst.rng import KeyedStream
+from fcqst.rng import derive_key
 from fcqst.spin_model import EFFECTIVE3
 from oracles import expand_by_class, project_by_class, random_start_by_class
 
@@ -142,6 +142,15 @@ def test_invalid_arguments():
     for total_time in (np.nan, np.inf):
         with pytest.raises(InvalidSizeError, match="total_time"):
             optimize_pulse(4, 1.0, total_time, 4, 1, seed=0)
+    # max_iters = -3 used to return the projected start, also from the
+    # bisection's trivial target, and a NaN stop_fidelity to run every iteration
+    for call in (lambda: optimize_pulse(4, 1.0, 1.0, 2, 1, seed=0, max_iters=-3),
+                 lambda: min_time_bisection(4, 1.0, 0.0, 1e-2, max_iters=-3)):
+        with pytest.raises(InvalidSizeError, match="max_iters must be >= 0"):
+            call()
+    for stop in (np.nan, np.inf):
+        with pytest.raises(InvalidSizeError, match="stop_fidelity must be finite"):
+            optimize_pulse(4, 1.0, 1.0, 2, 1, seed=0, stop_fidelity=stop)
 
 
 def test_pulse_rejects_non_real_or_non_finite_diagonals():
@@ -275,7 +284,7 @@ def test_layout_table_matches_class_branches():
                     assert got.dtype == want.dtype and np.array_equal(got, want)
             for seed in range(4):
                 for constant in (True, False):
-                    got = problem.random_start(KeyedStream.from_seed(seed, 1), constant)
-                    want = random_start_by_class(
-                        problem, KeyedStream.from_seed(seed, 1), constant)
+                    key = derive_key(seed, 1)
+                    got = problem.random_start(key, constant)
+                    want = random_start_by_class(problem, key, constant)
                     assert np.array_equal(got, want)

@@ -15,7 +15,7 @@ from fcqst import (
     reduce_to_effective,
 )
 from fcqst import (NoiseConfig, PulseParams, min_time_bisection, minimum_transfer_time,
-                   optimize_pulse, spin_model, to_interaction_picture)
+                   optimize_pulse, spin_model)
 from fcqst.exceptions import FcqstError, HermiticityError, InvalidSizeError, SizeLimitError
 from fcqst.spin_model import FULL_SPACE, SINGLE_EXCITATION, _exactly_hermitian
 
@@ -71,9 +71,6 @@ def test_build_h_opt_too_small():
         build_h_opt(4, -1.0)
 
 
-_ONE_SEGMENT = (np.ones(1), np.eye(3)[None])
-
-
 @pytest.mark.parametrize("call", [
     pytest.param(lambda v: minimum_transfer_time(v, 1.0), id="minimum_transfer_time-n"),
     pytest.param(lambda v: build_h_opt(v, 1.0), id="build_h_opt-n"),
@@ -92,8 +89,10 @@ _ONE_SEGMENT = (np.ones(1), np.eye(3)[None])
                  id="min_time_bisection-restarts"),
     pytest.param(lambda v: min_time_bisection(4, 1.0, 0.0, 1e-3, seed=v),
                  id="min_time_bisection-seed"),
-    pytest.param(lambda v: to_interaction_picture(_ONE_SEGMENT, slices_per_segment=v),
-                 id="to_interaction_picture-slices_per_segment"),
+    pytest.param(lambda v: optimize_pulse(4, 1.0, 1.0, 2, 1, 0, max_iters=v),
+                 id="optimize_pulse-max_iters"),
+    pytest.param(lambda v: min_time_bisection(4, 1.0, 0.0, 1e-3, max_iters=v),
+                 id="min_time_bisection-max_iters"),
 ])
 def test_integer_counts_reject_non_integers(call):
     # minimum_transfer_time(4.5, 1.0) used to return 1.047, and the other
@@ -275,23 +274,30 @@ def test_sector_matrix_rejects_non_hermitian():
 def test_exact_hermitian_check_sees_one_entry_in_any_tile(n):
     # the check compares 128 x 128 tiles with their mirrors: one perturbed
     # entry must show in a diagonal tile, an off-diagonal tile and the
-    # ragged last tile, from either side of the diagonal
+    # ragged last tile, from either side of the diagonal, in a matrix alone
+    # and in the second matrix of a stack
     gen = np.random.default_rng(n)
     a = gen.normal(size=(n, n)) + 1j * gen.normal(size=(n, n))
     herm = a + a.conj().T
     assert _exactly_hermitian(herm)
+
+    def exact(m):
+        alone = _exactly_hermitian(m)
+        assert _exactly_hermitian(np.stack([herm, m])) == alone
+        return alone
+
     entries = [(0, 1), (1, 0), (5, 130), (130, 5), (3, n - 1), (n - 1, 3),
                (n - 2, n - 1), (n - 1, n - 2)]
     for i, j in [(i, j) for i, j in entries if i != j and {i, j} <= set(range(n))]:
         bad = herm.copy()
         bad[i, j] = bad[j, i] = 0.0
-        assert _exactly_hermitian(bad)
+        assert exact(bad)
         bad[i, j] = 1e-300
-        assert not _exactly_hermitian(bad)
+        assert not exact(bad)
     for i in {0, n // 2, n - 1}:
         bad = herm.copy()
         bad[i, i] += 1e-300j
-        assert not _exactly_hermitian(bad)
+        assert not exact(bad)
 
 
 def test_sector_matrices_are_hermitian_and_immutable():
