@@ -36,9 +36,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import rng
 from .effective3 import coupling_bounds, effective_matrices
 from .exceptions import InvalidSizeError
-from . import rng
 from .propagator import minimum_transfer_time, ordered_product, segment_propagators
 from .spin_model import require_finite, require_integer, require_transfer_size
 

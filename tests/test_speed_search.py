@@ -71,6 +71,7 @@ def test_pulse_search_matches_frozen_digest():
                     digest.update(getattr(res.best_pulse, name).tobytes())
     assert digest.hexdigest() == PULSE_SEARCH_DIGEST
 
+
 def test_projection_idempotent_never_grows():
     for controls in CONTROL_CLASSES:
         problem = _Problem(6, 1.0, 1.0, 4, controls)
